@@ -26,6 +26,18 @@ echo "lsm lockorder suppressions: none"
 go test ./...
 echo "test: ok"
 
+# The benchmark is a separate module (perfbench/go.mod), so the root
+# `go test ./...` never builds it; it calls the storage and feed APIs, and
+# a change to them must not leave it broken.
+(cd perfbench && go build ./... && go vet ./... && go test ./...)
+echo "perfbench: ok"
+
+# Flush is a synchronous checkpoint: when it returns, the manifest commit
+# and WAL segment retirement are done. Repeat the test that counts the
+# segments left behind, since a regression shows up only on some runs.
+go test -count=20 -run TestWALSegmentLifecycle ./internal/lsm/
+echo "flush checkpoint: ok"
+
 # Replay the checked-in fuzz corpora (testdata/fuzz seeds run as ordinary
 # tests) for the two codecs with wire formats: ADM records and LSM run
 # blocks. Keeps past crashers fixed without needing a fuzzing budget.

@@ -87,7 +87,7 @@ func TestSeedSweep(t *testing.T) {
 
 // TestTornWALMidInsertFrame pins the acceptance criterion "fault injected
 // in the middle of an InsertFrame batch is demonstrably covered": a torn
-// WAL write during the frame fast path kills the store node, the replica is
+// WAL write during a frame insert kills the store node, the replica is
 // promoted, and no record is lost or fabricated.
 func TestTornWALMidInsertFrame(t *testing.T) {
 	sched := Schedule{{Point: "lsm:B/p000/primary/wal.appendBatch", Hit: 3, Action: ActTorn}}

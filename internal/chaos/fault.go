@@ -71,6 +71,26 @@ func (f Fault) String() string {
 	return fmt.Sprintf("%s@%d:%s", f.Point, f.Hit, f.Action)
 }
 
+// victim names the node the fault kills when it fires, or "" when it kills
+// none: a torn write at a storage point ("lsm:<node>/...") crashes its
+// node, as does a kill at a frame point ("frame:<node>:<op>").
+func (f Fault) victim() string {
+	var rest string
+	var sep byte
+	switch {
+	case f.Action == ActTorn && strings.HasPrefix(f.Point, "lsm:"):
+		rest, sep = f.Point[len("lsm:"):], '/'
+	case f.Action == ActKill && strings.HasPrefix(f.Point, "frame:"):
+		rest, sep = f.Point[len("frame:"):], ':'
+	default:
+		return ""
+	}
+	if i := strings.IndexByte(rest, sep); i >= 0 {
+		return rest[:i]
+	}
+	return rest
+}
+
 func parseFault(s string) (Fault, error) {
 	at := strings.LastIndexByte(s, '@')
 	if at < 0 {
@@ -130,6 +150,7 @@ type Injector struct {
 	armed    map[string][]Fault
 	hits     map[string]int
 	fired    []string
+	killed   []string
 	disarmed bool
 	killFn   func(node string)
 	stall    time.Duration
@@ -163,6 +184,9 @@ func (in *Injector) fire(point string) (Action, bool) {
 	for _, f := range in.armed[point] {
 		if f.Hit == h {
 			in.fired = append(in.fired, f.String())
+			if v := f.victim(); v != "" {
+				in.killed = append(in.killed, v)
+			}
 			return f.Action, true
 		}
 	}
@@ -187,6 +211,15 @@ func (in *Injector) Fired() []string {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return append([]string(nil), in.fired...)
+}
+
+// Killed lists the nodes fired faults kill, in firing order. A victim is
+// listed from the instant its fault fires, before the kill itself runs, so
+// after Disarm the list is final even if a kill is still in progress.
+func (in *Injector) Killed() []string {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return append([]string(nil), in.killed...)
 }
 
 // Unfired lists armed faults whose hit count was never reached — the

@@ -330,6 +330,16 @@ func Run(sc Scenario) (*Result, error) {
 	// replica promotion, failing invariants for a state no recovery path was
 	// ever given a chance to repair.
 	inj.Disarm()
+	// A kill that fired before the disarm — the background flusher can hit
+	// one after the workload drained — is still being repaired: heartbeat
+	// detection and replica promotion run on their own clocks. Verify only
+	// once the repair is done, so the verdict depends on the seed, not on
+	// how far the repair got.
+	if killed := inj.Killed(); len(killed) > 0 {
+		if err := awaitRepair(cluster, conn, killed, sc.Timeout); err != nil {
+			res.failf("repair: %v", err)
+		}
+	}
 	res.Degradations = conn.ResyncDegradations()
 	res.Replayed = conn.Metrics.Replayed.Value()
 	res.StoreErrors = conn.Metrics.StoreErrors.Value()
@@ -520,6 +530,47 @@ func Run(sc Scenario) (*Result, error) {
 	res.Fired = inj.Fired()
 	res.Unfired = inj.Unfired()
 	return res, nil
+}
+
+// awaitRepair waits until every killed node is down and the connection
+// has either failed or is connected with every stage on live nodes again:
+// the killed nodes were declared dead, their partitions promoted to
+// replicas, and the tail rebuilt.
+func awaitRepair(cluster *hyracks.Cluster, conn *core.Connection, killed []string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for !repaired(cluster, conn, killed) {
+		if time.Now().After(deadline) {
+			intake, compute, store := conn.Locations()
+			return fmt.Errorf("killed %v not repaired after %v: connection %v on intake %v, compute %v, store %v",
+				killed, timeout, conn.State(), intake, compute, store)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return nil
+}
+
+func repaired(cluster *hyracks.Cluster, conn *core.Connection, killed []string) bool {
+	for _, n := range killed {
+		if cluster.Node(n).Alive() {
+			return false // the kill itself is still in progress
+		}
+	}
+	switch conn.State() {
+	case core.ConnFailed:
+		return true
+	case core.ConnConnected:
+	default:
+		return false
+	}
+	intake, compute, store := conn.Locations()
+	for _, locs := range [][]string{intake, compute, store} {
+		for _, l := range locs {
+			if n := cluster.Node(l); n == nil || !n.Alive() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // storedIDs collects the distinct primary-record ids across the dataset's

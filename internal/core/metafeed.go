@@ -96,6 +96,14 @@ func (e *errTooManySoftFailures) Error() string {
 	return fmt.Sprintf("core: %s exceeded %d consecutive soft failures; terminating feed", e.operator, e.limit)
 }
 
+// succeeded records one record processed cleanly, ending any run of
+// consecutive soft failures.
+func (m *metaFeed) succeeded() {
+	m.mu.Lock()
+	m.consecutive = 0
+	m.mu.Unlock()
+}
+
 // guard runs work for one record. A returned error or panic becomes a soft
 // failure: logged, counted, and swallowed (skipped=true) when the policy
 // permits recovery. The error return is non-nil only for fatal conditions
@@ -111,9 +119,7 @@ func (m *metaFeed) guard(record []byte, work func() error) (skipped bool, fatal 
 		soft = work()
 	}()
 	if soft == nil {
-		m.mu.Lock()
-		m.consecutive = 0
-		m.mu.Unlock()
+		m.succeeded()
 		return false, nil
 	}
 

@@ -118,6 +118,14 @@ type batchingSink struct {
 	// node is over budget and the joint has a non-lossy subscriber, the
 	// sink blocks (slowing the adaptor) instead of growing the backlog.
 	adm *governor.Admission
+	// Frames are numbered as they are cut from buf (cut) and deposited
+	// strictly in that order (deposited is the last one done), so a frame
+	// the timer cut can never be overtaken by a later full one — which
+	// would apply an older version of a key last. A depositor waits for
+	// its turn on turnC, closed and renewed after every deposit; mu is
+	// never held across the deposit, which may block in the head gate.
+	cut, deposited uint64
+	turnC          chan struct{}
 }
 
 func newBatchingSink(joint *Joint, frameCap int, flushEvery time.Duration, canceled <-chan struct{}) *batchingSink {
@@ -127,6 +135,7 @@ func newBatchingSink(joint *Joint, frameCap int, flushEvery time.Duration, cance
 		buf:      hyracks.GetFrame(frameCap),
 		stopCh:   make(chan struct{}),
 		canceled: canceled,
+		turnC:    make(chan struct{}),
 	}
 	go func() {
 		t := time.NewTicker(flushEvery)
@@ -152,39 +161,44 @@ func (s *batchingSink) Emit(rec *adm.Record) error {
 	}
 	s.mu.Lock()
 	s.buf.Append(adm.Encode(rec))
-	full := s.buf.Len() >= s.cap
-	var out *hyracks.Frame
-	if full {
-		out = s.buf
-		s.buf = hyracks.GetFrame(s.cap)
+	if s.buf.Len() < s.cap {
+		s.mu.Unlock()
+		return nil
 	}
+	out, turn := s.cutLocked()
 	s.mu.Unlock()
-	if out != nil {
-		s.deposit(out)
-	}
+	s.deposit(out, turn)
 	return nil
 }
 
 func (s *batchingSink) flush() {
 	s.mu.Lock()
-	var out *hyracks.Frame
-	if s.buf.Len() > 0 {
-		out = s.buf
-		s.buf = hyracks.GetFrame(s.cap)
+	if s.buf.Len() == 0 {
+		s.mu.Unlock()
+		return
 	}
+	out, turn := s.cutLocked()
 	s.mu.Unlock()
-	if out != nil {
-		s.deposit(out)
-	}
+	s.deposit(out, turn)
 }
 
-// deposit hands one batched frame to the joint, first passing the head
-// gate. The gate only blocks when a non-lossy subscriber is attached —
-// lossy subscribers shed refused frames themselves, and blocking the head
-// would starve them of the frames their policy is supposed to drop. A
-// cancel during the gate still deposits: the frame's records were emitted
-// by the adaptor and must reach the parked subscription state.
-func (s *batchingSink) deposit(out *hyracks.Frame) {
+// cutLocked takes the buffered frame, numbering it for deposit order.
+func (s *batchingSink) cutLocked() (*hyracks.Frame, uint64) {
+	out := s.buf
+	s.buf = hyracks.GetFrame(s.cap)
+	s.cut++
+	return out, s.cut
+}
+
+// deposit hands one batched frame to the joint once every frame cut before
+// it has been deposited, first passing the head gate. The gate only blocks
+// when a non-lossy subscriber is attached — lossy subscribers shed refused
+// frames themselves, and blocking the head would starve them of the frames
+// their policy is supposed to drop. A cancel during the gate still
+// deposits: the frame's records were emitted by the adaptor and must reach
+// the parked subscription state.
+func (s *batchingSink) deposit(out *hyracks.Frame, turn uint64) {
+	s.awaitDeposited(turn - 1)
 	if s.adm != nil {
 		if cls, ok := s.joint.headClass(); ok {
 			s.adm.SetClass(cls)
@@ -195,11 +209,35 @@ func (s *batchingSink) deposit(out *hyracks.Frame) {
 		// No subscription kept the frame: recycle its header.
 		hyracks.PutFrame(out)
 	}
+	s.mu.Lock()
+	s.deposited = turn
+	close(s.turnC)
+	s.turnC = make(chan struct{})
+	s.mu.Unlock()
 }
 
+// awaitDeposited returns once frames 1..n have been deposited.
+func (s *batchingSink) awaitDeposited(n uint64) {
+	s.mu.Lock()
+	for s.deposited < n {
+		ch := s.turnC
+		s.mu.Unlock()
+		<-ch
+		s.mu.Lock()
+	}
+	s.mu.Unlock()
+}
+
+// stop ends the flush timer and deposits what is buffered. It returns only
+// once every frame cut so far is in the joint, including one the timer may
+// still be depositing, so no emitted record is dropped at teardown.
 func (s *batchingSink) stop() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.flush()
+	s.mu.Lock()
+	cut := s.cut
+	s.mu.Unlock()
+	s.awaitDeposited(cut)
 }
 
 // ---------------------------------------------------------------------------
@@ -492,8 +530,8 @@ func (r *assignRuntime) Fail(err error) { r.out.Fail(err) }
 
 // ---------------------------------------------------------------------------
 // Store: the tail's final stage. Each instance is co-located with one
-// partition of the target dataset, inserting records into the primary index
-// and updating secondary indexes, with per-record soft-failure handling and
+// partition of the target dataset, inserting each frame into the primary
+// index and the secondary indexes, with per-record soft-failure handling and
 // grouped at-least-once acks (§5.3.1, §5.6).
 
 type storeOp struct {
@@ -554,52 +592,110 @@ type storeRuntime struct {
 	replica     *storage.Partition
 	replicaNode *hyracks.NodeController
 	mf          *metaFeed
-	// frameRecs/frameAcks are per-task scratch for the frame-at-a-time fast
-	// path (one task goroutine drives NextFrame, so no locking).
-	frameRecs [][]byte
-	frameAcks []uint64
+	// recs/ids/acks are per-task scratch (one task goroutine drives
+	// NextFrame, so no locking): each record's payload and tracking id, 0
+	// when untracked (tracking ids start at 1).
+	recs [][]byte
+	ids  []uint64
+	acks []uint64
 }
 
 func (r *storeRuntime) Open() error { return r.out.Open() }
 
-// storeFrame is the frame-at-a-time fast path: every record of the frame is
-// unwrapped and handed to Partition.InsertFrame as one batch per index —
-// single lock, single composite WAL record, group-committed fsync. The
-// onPersist observer needs decoded records, so connections with one
-// installed take the record path. ok=false means the frame was not stored
-// and the caller must fall back to the per-record guarded loop: InsertFrame
-// validates the whole frame before touching any tree, so a validation
-// failure leaves the partition untouched, and LSM puts are idempotent
-// upserts, so even an IO error mid-batch makes the record-path retry
-// converge to the same state.
-func (r *storeRuntime) storeFrame(f *hyracks.Frame) (ok bool, err error) {
+// NextFrame stores one frame with a single InsertFrame per partition: one
+// lock, one composite WAL record and one group-committed fsync per index.
+// Bad records are soft failures (§6.1.2): InsertFrame names every one
+// without touching the partition, each is logged and counted through the
+// MetaFeed sandbox and acked, and the rest of the frame is inserted. An
+// environmental failure (WAL write, fsync, replica IO) is not the records'
+// fault, so acking them would silently lose them: they stay un-acked, the
+// at-least-once sweeper replays them, and the idempotent upsert converges.
+func (r *storeRuntime) NextFrame(f *hyracks.Frame) error {
 	conn := r.op.conn
-	recs := r.frameRecs[:0]
-	acks := r.frameAcks[:0]
+	recs, ids, acks := r.recs[:0], r.ids[:0], r.acks[:0]
+	defer func() { r.recs, r.ids, r.acks = recs[:0], ids[:0], acks[:0] }()
 	for _, rec := range f.Records {
-		id, payload, tracked, err := unwrapRecord(rec)
+		id, payload, _, err := unwrapRecord(rec)
 		if err != nil {
-			return false, err
+			return err
 		}
 		recs = append(recs, payload)
-		if tracked {
-			acks = append(acks, id)
+		ids = append(ids, id)
+	}
+	if !conn.storeEnabled.Load() {
+		// Disconnected-but-kept-alive: records flow for child feeds but
+		// are not persisted here. Ack so intake memory frees.
+		r.deliverAcks(appendTracked(acks, ids))
+		return r.out.NextFrame(f)
+	}
+
+	err := r.insert(recs)
+	var de *storage.DataError
+	if errors.As(err, &de) {
+		// Walk the frame in order so the consecutive-failure bound sees
+		// good and bad records exactly as they arrived.
+		kept, bad := 0, de.Records
+		for i := range recs {
+			if len(bad) == 0 || bad[0].Index != i {
+				r.mf.succeeded()
+				recs[kept], ids[kept] = recs[i], ids[i]
+				kept++
+				continue
+			}
+			cause := bad[0].Err
+			bad = bad[1:]
+			if _, fatal := r.mf.guard(recs[i], func() error { return cause }); fatal != nil {
+				return fatal
+			}
+			conn.Metrics.SoftFailures.Add(1)
+			// A soft-failed record is still acknowledged: at-least-once
+			// covers loss, not unprocessable input.
+			acks = appendTracked(acks, ids[i:i+1])
 		}
+		recs, ids = recs[:kept], ids[:kept]
+		err = r.insert(recs)
 	}
-	insertErr := r.part.InsertFrame(recs)
-	if insertErr == nil && r.replica != nil && r.replicaNode.Alive() {
-		insertErr = r.replica.InsertFrame(recs)
-	}
-	r.frameRecs = recs[:0]
-	r.frameAcks = acks[:0]
-	if insertErr != nil {
-		return false, nil
+	if err != nil {
+		conn.Metrics.StoreErrors.Add(int64(len(recs)))
+		r.deliverAcks(acks)
+		return r.out.NextFrame(f)
 	}
 	if len(recs) > 0 {
 		conn.Metrics.Persisted.Add(int64(len(recs)))
 	}
-	r.deliverAcks(acks)
-	return true, nil
+	r.deliverAcks(appendTracked(acks, ids))
+	if obs := conn.onPersist.Load(); obs != nil {
+		for _, rec := range recs {
+			if v, err := adm.DecodeOne(rec); err == nil {
+				(*obs)(v.(*adm.Record))
+			}
+		}
+	}
+	return r.out.NextFrame(f)
+}
+
+// insert writes recs to the partition and then, synchronously, to its
+// replica (the in-process stand-in for a replication RPC). A dead replica
+// node degrades to unreplicated writes rather than blocking ingestion.
+func (r *storeRuntime) insert(recs [][]byte) error {
+	if err := r.part.InsertFrame(recs); err != nil {
+		return err
+	}
+	if r.replica != nil && r.replicaNode.Alive() {
+		return r.replica.InsertFrame(recs)
+	}
+	return nil
+}
+
+// appendTracked appends the tracking ids among ids (skipping untracked
+// records' zeros) to acks.
+func appendTracked(acks, ids []uint64) []uint64 {
+	for _, id := range ids {
+		if id != 0 {
+			acks = append(acks, id)
+		}
+	}
+	return acks
 }
 
 // deliverAcks sends one grouped ack message for this frame (§5.6's windowed
@@ -618,98 +714,6 @@ func (r *storeRuntime) deliverAcks(acks []uint64) {
 		}
 	}
 	conn.tracker.ack(acks)
-}
-
-func (r *storeRuntime) NextFrame(f *hyracks.Frame) error {
-	conn := r.op.conn
-	if conn.storeEnabled.Load() && conn.onPersist.Load() == nil {
-		if stored, err := r.storeFrame(f); err != nil {
-			return err
-		} else if stored {
-			return r.out.NextFrame(f)
-		}
-		// Fall through: per-record insertion isolates the failing record
-		// (soft-failure semantics) instead of rejecting the whole frame.
-	}
-	var acks []uint64
-	persisted := int64(0)
-	for _, rec := range f.Records {
-		id, payload, tracked, err := unwrapRecord(rec)
-		if err != nil {
-			return err
-		}
-		if !conn.storeEnabled.Load() {
-			// Disconnected-but-kept-alive: records flow for child feeds
-			// but are not persisted here. Ack so intake memory frees.
-			if tracked {
-				acks = append(acks, id)
-			}
-			continue
-		}
-		var inserted *adm.Record
-		var envErr error
-		skipped, fatal := r.mf.guard(payload, func() error {
-			v, err := adm.DecodeOne(payload)
-			if err != nil {
-				return err
-			}
-			recVal, ok := v.(*adm.Record)
-			if !ok {
-				return fmt.Errorf("store: value is %s, want record", v.Tag())
-			}
-			if err := r.part.Insert(recVal); err != nil {
-				if !storage.IsDataError(err) {
-					envErr = err
-				}
-				return err
-			}
-			// Synchronous replication: mirror the insert to the replica
-			// partition (the in-process stand-in for a replication RPC).
-			if r.replica != nil && r.replicaNode.Alive() {
-				if err := r.replica.Insert(recVal); err != nil {
-					if !storage.IsDataError(err) {
-						envErr = err
-					}
-					return err
-				}
-			}
-			inserted = recVal
-			return nil
-		})
-		if fatal != nil {
-			return fatal
-		}
-		if skipped {
-			if envErr != nil {
-				// Environmental failure (WAL write, fsync, replica IO): not
-				// the record's fault, so acking it as a soft failure would
-				// silently lose it. Leave it un-acked — the at-least-once
-				// sweeper replays it and the idempotent upsert converges.
-				conn.Metrics.StoreErrors.Add(1)
-				continue
-			}
-			conn.Metrics.SoftFailures.Add(1)
-			// A soft-failed record is still acknowledged: at-least-once
-			// covers loss, not unprocessable input.
-			if tracked {
-				acks = append(acks, id)
-			}
-			continue
-		}
-		persisted++
-		if tracked {
-			acks = append(acks, id)
-		}
-		if obs := conn.onPersist.Load(); obs != nil && inserted != nil {
-			(*obs)(inserted)
-		}
-	}
-	if persisted > 0 {
-		conn.Metrics.Persisted.Add(persisted)
-	}
-	// Group this frame's acks into one message (§5.6's windowed encoding).
-	r.deliverAcks(acks)
-	return r.out.NextFrame(f)
 }
 
 func (r *storeRuntime) Close() error   { return r.out.Close() }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"asterixfeeds/internal/adm"
 	"asterixfeeds/internal/storage"
 )
 
@@ -74,7 +73,11 @@ func (m *Manager) handleNodeDeath(node string) {
 			}
 			// The §9.2.2 extension: promote in-sync replicas. The node
 			// hosting a lost partition's replica becomes "the preferred
-			// choice for being an immediate substitute".
+			// choice for being an immediate substitute". The repair holds
+			// m.mu throughout, including the new replica's copy and its
+			// WAL fsyncs: no connection may change while the nodegroup is
+			// rewritten.
+			//feedlint:allow lockorder -- replica resync copies under m.mu by design; the repair must not interleave with other connection changes
 			if err := m.promoteReplicasLocked(conn); err != nil {
 				m.failConnectionLocked(conn, fmt.Errorf("core: replica promotion failed: %w", err))
 				continue
@@ -301,28 +304,34 @@ func (m *Manager) resyncReplicaLocked(conn *Connection, ds *storage.Dataset, i i
 	return nil
 }
 
-// copyToReplica scans src into a freshly opened replica partition on dstSM.
-// The "resync:insert" fault point lets a harness interrupt the copy
-// mid-stream.
+// copyToReplica copies src's stored bytes into a freshly opened replica
+// partition on dstSM, a frame of FrameCapacity records at a time. The
+// "resync:insert" fault point, consulted once per record, lets a harness
+// interrupt the copy mid-stream.
 func (m *Manager) copyToReplica(src *storage.Partition, dstSM *storage.Manager, ds *storage.Dataset, i int) error {
 	dst, err := dstSM.OpenPartitionIdx(ds, i, true)
 	if err != nil {
 		return err
 	}
+	frame := make([][]byte, 0, m.opt.FrameCapacity)
 	var copyErr error
-	scanErr := src.Scan(func(rec *adm.Record) bool {
+	scanErr := src.ScanEncoded(func(rec []byte) bool {
 		if m.opt.FaultHook != nil {
-			if err := m.opt.FaultHook("resync:insert"); err != nil {
-				copyErr = err
+			if copyErr = m.opt.FaultHook("resync:insert"); copyErr != nil {
 				return false
 			}
 		}
-		if err := dst.Insert(rec); err != nil {
-			copyErr = err
-			return false
+		// The replica keeps the bytes; the scan's alias does not last.
+		frame = append(frame, append([]byte(nil), rec...))
+		if len(frame) == cap(frame) {
+			copyErr = dst.InsertFrame(frame)
+			frame = frame[:0]
 		}
-		return true
+		return copyErr == nil
 	})
+	if copyErr == nil && scanErr == nil {
+		copyErr = dst.InsertFrame(frame)
+	}
 	if copyErr != nil {
 		return copyErr
 	}

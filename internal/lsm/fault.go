@@ -3,7 +3,8 @@ package lsm
 import "errors"
 
 // FaultHook is consulted at named failure points inside the storage engine:
-// on the write path ("wal.append", "wal.appendBatch", "wal.sync"), in the
+// on the write path ("wal.appendBatch" before every WAL append — each Put,
+// Delete and ApplyBatch is one — and "wal.sync"), in the
 // background pipeline ("flush:bg" before a flushed run's rename publishes
 // it, "merge:bg" before a merged run's rename), on the read path
 // ("read:block" before a run block is read from disk — cache hits never

@@ -87,7 +87,7 @@ func TestRetiredSegmentNotReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(walPut, []byte("k"), []byte("stale")); err != nil {
+	if err := w.appendBatch([]batchOp{{kind: walPut, key: []byte("k"), value: []byte("stale")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {

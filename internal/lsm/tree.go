@@ -143,12 +143,18 @@ type Tree struct {
 	// published, runs merged, segments retired); see manifest.go. It has
 	// its own serialization (a gate token, like wal.gateC) because commits
 	// fsync — they must never run under t.mu.
-	man     *manifest
-	seq     int // last run sequence number issued
-	flushes int
-	merges  int
-	stalls  int
-	closed  bool
+	man *manifest
+	seq int // last run sequence number issued
+	// retiring counts flush passes whose run is published but whose
+	// manifest commit and segment retirement have not finished. Flush
+	// waits for it to reach zero: a checkpoint is only complete once
+	// committed. A failure past publish wedges the tree instead of
+	// decrementing it, so Flush then reports bgErr.
+	retiring int
+	flushes  int
+	merges   int
+	stalls   int
+	closed   bool
 	// bgErr wedges the tree when the background pipeline hits a
 	// non-retryable failure (torn run write, segment retire failure):
 	// mutations and Flush/Merge fail fast, reads keep working, and the
@@ -495,66 +501,20 @@ func (t *Tree) waitState(ch <-chan struct{}) {
 	}
 }
 
-// Put inserts or replaces key with value.
+// Put inserts or replaces key with value. It is a one-entry batch: the
+// tree copies key and value, so the caller keeps ownership of both.
 func (t *Tree) Put(key, value []byte) error {
-	return t.apply(walPut, key, value)
+	return t.applyOne(walPut, key, value)
 }
 
 // Delete removes key (by writing a tombstone).
 func (t *Tree) Delete(key []byte) error {
-	return t.apply(walDelete, key, nil)
+	return t.applyOne(walDelete, key, nil)
 }
 
-// apply is two-phase group commit: the WAL append and memtable update run
-// under the tree lock, the fsync that acknowledges durability runs after
-// it is released. A mutation may therefore be visible to readers before it
-// is durable — standard for group commit; the caller must not ack until
-// apply returns nil. The fsync targets the segment the record landed in
-// (captured under the lock): if that segment was already retired by a
-// background flush, the record is durable in a run file and the fsync
-// succeeds vacuously.
-func (t *Tree) apply(kind walRecordKind, key, value []byte) error {
-	w, syncDue, err := t.applyLocked(kind, key, value)
-	if err != nil {
-		return err
-	}
-	if syncDue {
-		return w.fsync()
-	}
-	return nil
-}
-
-// applyLocked admits the write (rotating or stalling per admitLocked),
-// appends to the WAL, and updates the memtable, reporting the segment the
-// record landed in and whether the caller owes the group-commit fsync once
-// the lock is released.
-func (t *Tree) applyLocked(kind walRecordKind, key, value []byte) (w *wal, syncDue bool, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	stalled := false
-	for {
-		ch, err := t.admitLocked(&stalled)
-		if err != nil {
-			return nil, false, err
-		}
-		if ch == nil {
-			break
-		}
-		t.mu.Unlock()
-		t.waitState(ch)
-		t.mu.Lock()
-	}
-	if err := t.wal.append(kind, key, value); err != nil {
-		return nil, false, err
-	}
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
-	t.mem.put(k, v, kind == walDelete)
-	syncDue, err = t.wal.flushDue()
-	if err != nil {
-		return nil, false, err
-	}
-	return t.wal, syncDue, nil
+func (t *Tree) applyOne(kind walRecordKind, key, value []byte) error {
+	op := batchOp{kind: kind, key: append([]byte(nil), key...), value: append([]byte(nil), value...)}
+	return t.ApplyBatch(&Batch{ops: []batchOp{op}})
 }
 
 // ApplyBatch applies every operation in b under a single lock acquisition:
@@ -562,8 +522,12 @@ func (t *Tree) applyLocked(kind walRecordKind, key, value []byte) (w *wal, syncD
 // that reuses the predecessor search across adjacent keys. Per
 // Options.SyncWAL the batch owes at most one fsync — group commit — which
 // runs after the lock is released, so durability waits never stall readers.
-// Operations land in the memtable with the same last-writer-wins outcome as
-// applying them in order.
+// A batch may therefore be visible to readers before it is durable; the
+// caller must not ack until ApplyBatch returns nil. If the segment the
+// batch landed in was retired by a background flush meanwhile, the batch is
+// durable in a run file and the fsync succeeds vacuously. Operations land
+// in the memtable with the same last-writer-wins outcome as applying them
+// in order.
 //
 // The tree takes ownership of the batch's key and value slices (see Batch);
 // the Batch itself may be Reset and reused once ApplyBatch returns.
@@ -581,8 +545,10 @@ func (t *Tree) ApplyBatch(b *Batch) error {
 	return nil
 }
 
-// applyBatchLocked is the under-lock half of ApplyBatch; like applyLocked
-// it leaves the group-commit fsync to the caller.
+// applyBatchLocked is the under-lock half of ApplyBatch: it admits the
+// write (rotating or stalling per admitLocked), appends to the WAL, and
+// updates the memtable, reporting the segment the batch landed in and
+// whether the caller owes the group-commit fsync once the lock is released.
 func (t *Tree) applyBatchLocked(b *Batch) (w *wal, syncDue bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -803,9 +769,11 @@ func (t *Tree) Len() (int, error) {
 }
 
 // Flush rotates the memtable (if non-empty) and waits until the background
-// pipeline has drained: no queued immutables and no compaction debt. It is
-// the synchronous checkpoint operation — after a nil return every record
-// accepted before the call is in a run file.
+// pipeline has drained: no queued immutables, no flush awaiting its
+// manifest commit or segment retirement, and no compaction debt. It is the
+// synchronous checkpoint operation — after a nil return every record
+// accepted before the call is in a committed run file and its WAL segments
+// are gone.
 func (t *Tree) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -823,7 +791,7 @@ func (t *Tree) Flush() error {
 				}
 				continue
 			}
-		} else if len(t.imms) == 0 {
+		} else if len(t.imms) == 0 && t.retiring == 0 {
 			if len(t.runs) <= t.opt.MaxRuns {
 				return nil
 			}
@@ -1034,6 +1002,7 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 	// Rotations may have prepended newer tasks while the batch flushed;
 	// the flushed tasks are exactly the oldest len(tasks) entries.
 	t.imms = t.imms[:len(t.imms)-len(tasks)]
+	t.retiring++
 	t.flushes++
 	if m := t.opt.Metrics; m != nil {
 		m.Flushes.Add(1)
@@ -1073,6 +1042,10 @@ func (t *Tree) flushTasks(tasks []*flushTask) error {
 			return err
 		}
 	}
+	t.mu.Lock()
+	t.retiring--
+	t.bumpLocked()
+	t.mu.Unlock()
 	if debt {
 		t.kick(t.compactC)
 	}

@@ -13,8 +13,10 @@ import (
 )
 
 // walRecordKind distinguishes WAL record types. The kind byte doubles as a
-// format version: replay dispatches on it, so old single-mutation records
-// and newer composite batch records coexist in one log.
+// format version: replay dispatches on it. Every write is a composite
+// walBatch record; top-level walPut/walDelete records are what older builds
+// wrote for single mutations, and replay still accepts them, so a log
+// written before the upgrade (or mixing both) replays in order.
 type walRecordKind byte
 
 const (
@@ -112,59 +114,6 @@ func (w *wal) tearWrite(record []byte) error {
 		return err
 	}
 	return ErrTornWrite
-}
-
-// append writes one record:
-//
-//	crc32(le u32) kind(1) klen(uvarint) vlen(uvarint) key value
-func (w *wal) append(kind walRecordKind, key, value []byte) error {
-	if w.broken {
-		return ErrWALBroken
-	}
-	var hdr [1 + 2*binary.MaxVarintLen32]byte
-	hdr[0] = byte(kind)
-	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(len(key)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(value)))
-
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:n])
-	crc.Write(key)
-	crc.Write(value)
-
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc.Sum32())
-	if w.fault != nil {
-		if err := w.fault("wal.append"); err != nil {
-			if errors.Is(err, ErrTornWrite) {
-				rec := make([]byte, 0, 4+n+len(key)+len(value))
-				rec = append(rec, crcBuf[:]...)
-				rec = append(rec, hdr[:n]...)
-				rec = append(rec, key...)
-				rec = append(rec, value...)
-				return w.tearWrite(rec)
-			}
-			return err
-		}
-	}
-	if _, err := w.w.Write(crcBuf[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(key); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(value); err != nil {
-		return err
-	}
-	if w.metrics != nil {
-		w.metrics.WALAppends.Add(1)
-		w.metrics.WALBytes.Add(int64(4 + n + len(key) + len(value)))
-	}
-	w.pending++
-	return nil
 }
 
 // appendBatch writes every op as one composite record:
@@ -354,8 +303,9 @@ func (t *teeByteReader) readMutation() (key, value []byte, ok bool) {
 }
 
 // replayWAL reads records from the WAL at path, invoking fn for each valid
-// mutation in log order. Single-mutation records (walPut/walDelete) and
-// composite batch records (walBatch) may be interleaved; a batch replays
+// mutation in log order. Single-mutation records (walPut/walDelete, as
+// older builds wrote them) and composite batch records (walBatch) may be
+// interleaved; a batch replays
 // atomically — all of its mutations or, when torn or corrupt, none. A torn
 // or corrupt tail terminates replay without error, matching standard WAL
 // semantics.

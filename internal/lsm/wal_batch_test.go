@@ -1,7 +1,9 @@
 package lsm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -238,16 +240,17 @@ func TestWALBatchCorruptCRCDropped(t *testing.T) {
 	}
 }
 
-// TestWALMixedRecordKindsReplayInOrder interleaves old single-mutation
-// records with composite batch records and verifies recovery applies them in
-// log order (last writer wins across kinds).
+// TestWALMixedRecordKindsReplayInOrder interleaves single Puts and Deletes
+// (one-entry batches) with multi-entry batches and verifies recovery applies
+// them in log order (last writer wins). TestWALLegacySegmentReplays covers
+// the top-level walPut/walDelete records older builds wrote.
 func TestWALMixedRecordKindsReplayInOrder(t *testing.T) {
 	dir := t.TempDir()
 	tr, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1. old-kind put
+	// 1. single puts
 	tr.Put([]byte("a"), []byte("old"))
 	tr.Put([]byte("gone"), []byte("x"))
 	// 2. batch overwrites a, creates b
@@ -257,7 +260,7 @@ func TestWALMixedRecordKindsReplayInOrder(t *testing.T) {
 	if err := tr.ApplyBatch(b1); err != nil {
 		t.Fatal(err)
 	}
-	// 3. old-kind delete between batches
+	// 3. single delete between batches
 	tr.Delete([]byte("gone"))
 	// 4. second batch overwrites b, resurrects nothing
 	b2 := NewBatch(2)
@@ -278,10 +281,10 @@ func TestWALMixedRecordKindsReplayInOrder(t *testing.T) {
 	}
 	defer re.Close()
 	if _, ok, _ := re.Get([]byte("a")); ok {
-		t.Fatal("batch delete after old-kind put not replayed in order")
+		t.Fatal("batch delete after single put not replayed in order")
 	}
 	if _, ok, _ := re.Get([]byte("gone")); ok {
-		t.Fatal("old-kind delete between batches not replayed in order")
+		t.Fatal("single delete between batches not replayed in order")
 	}
 	if v, ok, _ := re.Get([]byte("b")); !ok || string(v) != "2" {
 		t.Fatalf("Get(b) = %q, %v; want later batch to win", v, ok)
@@ -308,5 +311,68 @@ func TestWALBatchGroupCommitSyncs(t *testing.T) {
 	tr.mu.Unlock()
 	if pending != 0 {
 		t.Fatalf("wal.pending = %d after synced batch, want 0 (one deferred fsync per batch)", pending)
+	}
+}
+
+// legacyRecord encodes one top-level single-mutation WAL record the way
+// builds before the batch-only write path did:
+//
+//	crc32(le u32) kind(1) klen(uvarint) vlen(uvarint) key value
+func legacyRecord(kind walRecordKind, key, value string) []byte {
+	body := []byte{byte(kind)}
+	body = binary.AppendUvarint(body, uint64(len(key)))
+	body = binary.AppendUvarint(body, uint64(len(value)))
+	body = append(body, key...)
+	body = append(body, value...)
+	return append(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(body)), body...)
+}
+
+// TestWALLegacySegmentReplays opens a tree over a hand-written segment of
+// walPut/walDelete records, followed by one batch record, and checks the
+// mutations replay in log order: segments written by older builds keep
+// recovering although the tree no longer writes those record kinds.
+func TestWALLegacySegmentReplays(t *testing.T) {
+	dir := t.TempDir()
+	var seg []byte
+	seg = append(seg, legacyRecord(walPut, "a", "1")...)
+	seg = append(seg, legacyRecord(walPut, "b", "1")...)
+	seg = append(seg, legacyRecord(walPut, "a", "2")...)
+	seg = append(seg, legacyRecord(walDelete, "b", "")...)
+	seg = append(seg, legacyRecord(walPut, "c", "1")...)
+	path := filepath.Join(dir, "wal-000001.log")
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := openWAL(path, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.appendBatch([]batchOp{
+		{kind: walDelete, key: []byte("c")},
+		{kind: walPut, key: []byte("d"), value: []byte("1")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := &Metrics{}
+	tr := openTest(t, Options{Dir: dir, Metrics: m})
+	if got := m.RecoveryReplayed.Value(); got != 7 {
+		t.Fatalf("replayed %d mutations, want 7", got)
+	}
+	want := map[string]string{"a": "2", "d": "1"}
+	for _, k := range []string{"a", "b", "c", "d"} {
+		v, ok, err := tr.Get([]byte(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, live := want[k]; ok != live || string(v) != w {
+			t.Fatalf("Get(%s) = %q, %v; want %q, %v", k, v, ok, w, live)
+		}
+	}
+	if n, _ := tr.Len(); n != len(want) {
+		t.Fatalf("Len = %d, want %d", n, len(want))
 	}
 }

@@ -9,15 +9,15 @@ import (
 	"asterixfeeds/internal/lsm"
 )
 
-// BenchmarkInsertPath compares the two write paths over identical serialized
-// input at the feed pipeline's frame granularity (128 records per frame):
+// BenchmarkInsertPath measures what frame granularity buys the write path
+// over identical serialized input (128 records per frame):
 //
-//   - record-at-a-time: InsertEncoded per record — per-record lock
-//     acquisition, per-record WAL record, full decode for validation and
-//     key extraction.
+//   - record-at-a-time: a one-record InsertFrame per record — per-record
+//     lock acquisition and per-record WAL record in every tree.
 //   - frame-at-a-time: InsertFrame per frame — one lock, one composite WAL
-//     record and one deferred sync per index (group commit), byte-level
-//     validation and key extraction with no decode.
+//     record and one deferred sync per index (group commit).
+//
+// Both arms validate and key records straight from their bytes.
 //
 // Record generation runs outside the timed sections; ns/record and
 // allocs/record cover only the insert calls.
@@ -76,8 +76,8 @@ func BenchmarkInsertPath(b *testing.B) {
 
 	b.Run("record-at-a-time", func(b *testing.B) {
 		run(b, func(p *Partition, recs [][]byte) error {
-			for _, rec := range recs {
-				if err := p.InsertEncoded(rec); err != nil {
+			for i := range recs {
+				if err := p.InsertFrame(recs[i : i+1]); err != nil {
 					return err
 				}
 			}

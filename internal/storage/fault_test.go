@@ -26,7 +26,7 @@ func TestDataErrorClassification(t *testing.T) {
 	ds := testDataset()
 	fire := false
 	m := NewManager("A", t.TempDir(), lsm.Options{FaultHook: func(op string) error {
-		if fire && strings.HasSuffix(op, "wal.append") {
+		if fire && strings.HasSuffix(op, "wal.appendBatch") {
 			return lsm.ErrInjected
 		}
 		return nil
@@ -51,11 +51,11 @@ func TestDataErrorClassification(t *testing.T) {
 	}
 }
 
-// TestInsertFrameFaultFallbackNoLossNoPhantoms is the PR 2 fast-path
-// failure test: a frame whose batched insert dies on an environmental
-// fault is retried record-at-a-time (exactly what storeRuntime's guarded
-// fallback does), and the partition ends with every record exactly once —
-// none lost, none phantom, secondaries consistent.
+// TestInsertFrameFaultFallbackNoLossNoPhantoms: a frame whose batched
+// insert dies on an environmental fault is inserted again whole (exactly
+// what the at-least-once replay of the un-acked frame does), and the
+// partition ends with every record exactly once — none lost, none phantom,
+// secondaries consistent.
 func TestInsertFrameFaultFallbackNoLossNoPhantoms(t *testing.T) {
 	ds := testDataset()
 	armed := false
@@ -86,11 +86,9 @@ func TestInsertFrameFaultFallbackNoLossNoPhantoms(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fault fired %d times, want 1", fired)
 	}
-	// The guarded fallback: per-record retry of the same frame.
-	for _, rec := range frame {
-		if err := p.InsertEncoded(rec); err != nil {
-			t.Fatal(err)
-		}
+	// The replay: the same frame again.
+	if err := p.InsertFrame(frame); err != nil {
+		t.Fatal(err)
 	}
 
 	n, err := p.Count()
@@ -101,7 +99,7 @@ func TestInsertFrameFaultFallbackNoLossNoPhantoms(t *testing.T) {
 		t.Fatalf("Count = %d, want 20 (no loss, no phantoms)", n)
 	}
 	if err := p.VerifyIndexes(); err != nil {
-		t.Fatalf("index consistency after fallback: %v", err)
+		t.Fatalf("index consistency after replay: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -175,6 +176,68 @@ func TestInsertFrameValidationAtomic(t *testing.T) {
 		MustBuild()
 	if err := p.InsertFrame([][]byte{adm.Encode(noPK)}); err == nil {
 		t.Fatal("InsertFrame accepted a record lacking its primary key")
+	}
+}
+
+// TestInsertFrameNamesEveryBadRecord: the data error of a rejected frame
+// lists every failing record — first, middle and last, whatever the cause —
+// with the same cause a one-record frame of it reports, and inserting the
+// rest afterwards stores exactly the good records.
+func TestInsertFrameNamesEveryBadRecord(t *testing.T) {
+	p := openTestPartition(t, testDataset())
+	good := tweetRec("g", "alice", nil)
+	missing := (&adm.RecordBuilder{}).Add("id", adm.String("m")).MustBuild()
+	noPK := (&adm.RecordBuilder{}).
+		Add("user_name", adm.String("x")).
+		Add("message_text", adm.String("y")).
+		MustBuild()
+	enc := adm.Encode(tweetRec("trunc", "u", nil))
+	frame := [][]byte{
+		adm.Encode(missing),
+		adm.Encode(tweetRec("g0", "bob", nil)),
+		{0xEE, 0x01},
+		adm.Encode(tweetRec("g1", "carol", &adm.Point{X: 1, Y: 2})),
+		adm.Encode(noPK),
+		adm.Encode(good),
+		enc[:len(enc)-2],
+	}
+	wantBad := []int{0, 2, 4, 6}
+
+	err := p.InsertFrame(frame)
+	var de *DataError
+	if !errors.As(err, &de) {
+		t.Fatalf("InsertFrame = %v, want a *DataError", err)
+	}
+	if len(de.Records) != len(wantBad) {
+		t.Fatalf("DataError names %d records (%v), want %v", len(de.Records), de, wantBad)
+	}
+	for i, r := range de.Records {
+		if r.Index != wantBad[i] {
+			t.Fatalf("DataError record %d has index %d, want %d", i, r.Index, wantBad[i])
+		}
+		var alone *DataError
+		if err := p.InsertFrame(frame[r.Index : r.Index+1]); !errors.As(err, &alone) || alone.Records[0].Err.Error() != r.Err.Error() {
+			t.Fatalf("record %d: frame cause %q, alone %v", r.Index, r.Err, err)
+		}
+	}
+	if n, _ := p.Count(); n != 0 {
+		t.Fatalf("Count = %d after rejected frame, want 0 (partition untouched)", n)
+	}
+
+	var rest [][]byte
+	for i, rec := range frame {
+		if i%2 == 1 { // the good records sit between the bad ones
+			rest = append(rest, rec)
+		}
+	}
+	if err := p.InsertFrame(rest); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := p.Count(); n != 3 {
+		t.Fatalf("Count = %d, want the 3 good records", n)
+	}
+	if err := p.VerifyIndexes(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -72,6 +72,28 @@ func (fs *frameScratch) release() {
 	}
 }
 
+// scan fills fs.fields with rec's top-level fields, aliasing rec.
+func (fs *frameScratch) scan(rec []byte) error {
+	fs.fields = fs.fields[:0]
+	_, err := adm.ScanRecordFields(rec, func(name, enc []byte) bool {
+		fs.fields = append(fs.fields, encFieldRef{name: name, enc: enc})
+		return true
+	})
+	return err
+}
+
+// ensureBatches allocates the per-tree batches on first use, sized for n
+// operations, plus one secondary batch per index.
+func (fs *frameScratch) ensureBatches(n, nIdx int) {
+	if fs.prim == nil {
+		fs.prim = lsm.NewBatch(n)
+		fs.pending = make(map[string]int, n)
+	}
+	for len(fs.sec) < nIdx {
+		fs.sec = append(fs.sec, lsm.NewBatch(n))
+	}
+}
+
 // openPartition opens (creating if needed) partition idx of ds under dir.
 // When lsmOpt carries a FaultHook, each tree's failure points are prefixed
 // with "<partition-dir>/<tree>/" (e.g. "p001/primary/wal.appendBatch") so a
@@ -135,85 +157,24 @@ func (p *Partition) Index() int { return p.idx }
 // Dataset returns the partition's dataset declaration.
 func (p *Partition) Dataset() *Dataset { return p.ds }
 
-// Insert validates rec against the dataset type, writes it to the primary
-// index, and updates every secondary index. The write is atomic at record
-// level: the primary WAL entry precedes index maintenance.
+// Insert validates rec against the dataset type and writes it: a
+// one-record InsertFrame.
 func (p *Partition) Insert(rec *adm.Record) error {
-	return p.insertRecord(rec, adm.Encode(rec))
+	return p.InsertFrame([][]byte{adm.Encode(rec)})
 }
 
-// InsertEncoded inserts a serialized record. The record is decoded for
-// validation and key extraction, but the original bytes are stored as-is —
-// no re-encode round trip.
-func (p *Partition) InsertEncoded(rec []byte) error {
-	v, err := adm.DecodeOne(rec)
-	if err != nil {
-		return dataErr(err)
-	}
-	r, ok := v.(*adm.Record)
-	if !ok {
-		return dataErr(fmt.Errorf("storage: encoded value is %s, want record", v.Tag()))
-	}
-	return p.insertRecord(r, rec)
-}
-
-// insertRecord is the shared record-at-a-time write path: val must be the
-// serialized form of rec and is stored without copying.
-func (p *Partition) insertRecord(rec *adm.Record, val []byte) error {
-	if err := p.ds.Type.Validate(rec); err != nil {
-		return dataErr(err)
-	}
-	pk, err := p.ds.PrimaryKeyOf(rec)
-	if err != nil {
-		return dataErr(err)
-	}
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("storage: partition closed")
-	}
-	// Replacing an existing record must first unhook its old secondary
-	// entries.
-	if old, ok, err := p.primary.Get(pk); err != nil {
-		return err
-	} else if ok {
-		// p.mu spans the durable deletes and the re-insert below: a record's
-		// primary and secondary entries must change atomically, so the
-		// partition accepts stalling on the trees' fsyncs.
-		//feedlint:allow lockorder -- record-level atomicity across primary and secondaries requires p.mu over durable writes
-		if err := p.removeSecondariesLocked(pk, old); err != nil {
-			return err
-		}
-	}
-	if err := p.primary.Put(pk, val); err != nil {
-		return err
-	}
-	for _, ix := range p.ds.Indexes {
-		skey, ok, err := secondaryKey(ix, rec, pk)
-		if err != nil {
-			return dataErr(err)
-		}
-		if !ok {
-			continue // absent optional field: not indexed
-		}
-		if err := p.secondaries[ix.Name].Put(skey, pk); err != nil {
-			return err
-		}
-	}
-	p.inserted++
-	return nil
-}
-
-// InsertFrame inserts a whole frame of serialized records as one batched
-// write per index: every record is validated and keyed straight from its
-// bytes (no decode, no re-encode), then the primary tree and each secondary
-// tree receive a single lsm.Batch — one lock acquisition, one composite WAL
-// record, and at most one fsync per tree for the entire frame (group
-// commit).
+// InsertFrame is the partition's write path: it inserts a whole frame of
+// serialized records as one batched write per index. Every record is
+// validated and keyed straight from its bytes (no decode, no re-encode),
+// then the primary tree and each secondary tree receive a single lsm.Batch
+// — one lock acquisition, one composite WAL record, and at most one fsync
+// per tree for the entire frame (group commit).
 //
-// Validation and key extraction complete for the whole frame before any
-// tree is touched, so a validation error leaves the partition unmodified.
+// The frame is all-or-nothing with respect to bad records: validation and
+// key extraction run over the whole frame before any tree is touched, and
+// if any record fails, the partition is left unmodified and the returned
+// *DataError names every failing record with its cause, so the caller can
+// drop exactly those and retry the rest. Any other error is environmental.
 // Within a frame, a later record with the same primary key replaces an
 // earlier one, exactly as two sequential Inserts would. The partition
 // retains the record byte slices; callers recycling frame buffers must not
@@ -232,44 +193,18 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 	nIdx := len(p.ds.Indexes)
 
 	// Phase A: validate every record and derive all keys, mutating nothing.
-	// Failures here are data errors: caused by the frame's bytes, with the
-	// partition untouched.
-	for _, rec := range recs {
-		if err := p.ds.Type.ValidateEncoded(rec); err != nil {
-			return dataErr(err)
+	var bad []RecordError
+	for i, rec := range recs {
+		if err := p.keyRecord(fs, rec); err != nil {
+			bad = append(bad, RecordError{Index: i, Err: err})
 		}
-		fs.fields = fs.fields[:0]
-		if _, err := adm.ScanRecordFields(rec, func(name, enc []byte) bool {
-			fs.fields = append(fs.fields, encFieldRef{name: name, enc: enc})
-			return true
-		}); err != nil {
-			return dataErr(err)
-		}
-		pk, err := primaryKeyFromFields(p.ds, fs.fields)
-		if err != nil {
-			return dataErr(err)
-		}
-		fs.pks = append(fs.pks, pk)
-		for _, ix := range p.ds.Indexes {
-			skey, ok, err := secondaryKeyEncoded(ix, findField(fs.fields, ix.Field), pk)
-			if err != nil {
-				return dataErr(err)
-			}
-			if !ok {
-				skey = nil
-			}
-			fs.skeys = append(fs.skeys, skey)
-		}
+	}
+	if bad != nil {
+		return &DataError{Records: bad}
 	}
 
 	// Phase B: build one batch per tree and apply them.
-	if fs.prim == nil {
-		fs.prim = lsm.NewBatch(len(recs))
-		fs.pending = make(map[string]int, len(recs))
-	}
-	for len(fs.sec) < nIdx {
-		fs.sec = append(fs.sec, lsm.NewBatch(len(recs)))
-	}
+	fs.ensureBatches(len(recs), nIdx)
 	for i, rec := range recs {
 		pk := fs.pks[i]
 		if prev, dup := fs.pending[string(pk)]; dup {
@@ -281,27 +216,8 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 					fs.sec[j].Delete(old)
 				}
 			}
-		} else if old, found, err := p.primary.Get(pk); err != nil {
+		} else if _, err := p.unhookStoredLocked(fs, pk); err != nil {
 			return err
-		} else if found {
-			// Replacing a stored record: unhook its old secondary entries.
-			v, err := adm.DecodeOne(old)
-			if err != nil {
-				return err
-			}
-			oldRec, ok := v.(*adm.Record)
-			if !ok {
-				return fmt.Errorf("storage: stored value is not a record")
-			}
-			for j, ix := range p.ds.Indexes {
-				skey, present, err := secondaryKey(ix, oldRec, pk)
-				if err != nil {
-					return err
-				}
-				if present {
-					fs.sec[j].Delete(skey)
-				}
-			}
 		}
 		fs.pending[string(pk)] = i
 		fs.prim.Put(pk, rec)
@@ -311,6 +227,10 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 			}
 		}
 	}
+	// p.mu spans the group-commit fsyncs of every tree: a record's primary
+	// and secondary entries must change atomically, so the partition
+	// accepts stalling on the trees' fsyncs.
+	//feedlint:allow lockorder -- record-level atomicity across primary and secondaries requires p.mu over durable writes
 	if err := p.primary.ApplyBatch(fs.prim); err != nil {
 		return err
 	}
@@ -321,6 +241,58 @@ func (p *Partition) InsertFrame(recs [][]byte) error {
 	}
 	p.inserted += int64(len(recs))
 	return nil
+}
+
+// keyRecord validates one serialized record and appends its primary key
+// and per-index secondary keys (nil when not indexed) to fs. Every error
+// is the record's fault.
+func (p *Partition) keyRecord(fs *frameScratch, rec []byte) error {
+	if err := p.ds.Type.ValidateEncoded(rec); err != nil {
+		return err
+	}
+	if err := fs.scan(rec); err != nil {
+		return err
+	}
+	pk, err := primaryKeyFromFields(p.ds, fs.fields)
+	if err != nil {
+		return err
+	}
+	fs.pks = append(fs.pks, pk)
+	for _, ix := range p.ds.Indexes {
+		skey, ok, err := secondaryKeyEncoded(ix, findField(fs.fields, ix.Field), pk)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			skey = nil
+		}
+		fs.skeys = append(fs.skeys, skey)
+	}
+	return nil
+}
+
+// unhookStoredLocked queues, into fs.sec, deletes of the secondary entries
+// of the record stored under pk and reports whether there is one. The old
+// keys are derived from the stored bytes, exactly as InsertFrame derived
+// them when it wrote them.
+func (p *Partition) unhookStoredLocked(fs *frameScratch, pk []byte) (bool, error) {
+	old, found, err := p.primary.Get(pk)
+	if err != nil || !found {
+		return false, err
+	}
+	if err := fs.scan(old); err != nil {
+		return true, fmt.Errorf("storage: stored record for pk %x: %w", pk, err)
+	}
+	for j, ix := range p.ds.Indexes {
+		skey, present, err := secondaryKeyEncoded(ix, findField(fs.fields, ix.Field), pk)
+		if err != nil {
+			return true, err
+		}
+		if present {
+			fs.sec[j].Delete(skey)
+		}
+	}
+	return true, nil
 }
 
 // findField returns the encoded value of the named field from a scanned
@@ -353,9 +325,10 @@ func primaryKeyFromFields(ds *Dataset, fields []encFieldRef) ([]byte, error) {
 	return pk, nil
 }
 
-// secondaryKeyEncoded builds the same key as secondaryKey, but from the
-// field's encoded bytes instead of a decoded value. ok=false means the
-// field is absent/null and the record is simply not indexed.
+// secondaryKeyEncoded builds a record's secondary index key from the
+// indexed field's encoded bytes — the same key secondaryKey builds from the
+// decoded value. ok=false means the field is absent/null and the record is
+// simply not indexed.
 func secondaryKeyEncoded(ix IndexDecl, encField, pk []byte) (key []byte, ok bool, err error) {
 	if len(encField) == 0 {
 		return nil, false, nil
@@ -387,7 +360,9 @@ func secondaryKeyEncoded(ix IndexDecl, encField, pk []byte) (key []byte, ok bool
 	return append(key, pk...), true, nil
 }
 
-// Delete removes the record with the given primary key fields.
+// Delete removes the record with the given primary key fields. Its
+// secondary entries go first, so a failure part-way leaves a primary
+// record a retried Delete still finds and finishes.
 func (p *Partition) Delete(pkValues []adm.Value) error {
 	if len(pkValues) != len(p.ds.PrimaryKey) {
 		return fmt.Errorf("storage: %d key values for %d-field primary key", len(pkValues), len(p.ds.PrimaryKey))
@@ -401,44 +376,18 @@ func (p *Partition) Delete(pkValues []adm.Value) error {
 	if p.closed {
 		return fmt.Errorf("storage: partition closed")
 	}
-	old, ok, err := p.primary.Get(pk)
-	if err != nil {
+	fs := &p.frame
+	defer fs.release()
+	fs.ensureBatches(1, len(p.ds.Indexes))
+	if found, err := p.unhookStoredLocked(fs, pk); err != nil || !found {
 		return err
 	}
-	if !ok {
-		return nil
-	}
-	if err := p.removeSecondariesLocked(pk, old); err != nil {
-		return err
-	}
-	if err := p.primary.Delete(pk); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (p *Partition) removeSecondariesLocked(pk, encodedOld []byte) error {
-	v, err := adm.DecodeOne(encodedOld)
-	if err != nil {
-		return err
-	}
-	old, ok := v.(*adm.Record)
-	if !ok {
-		return fmt.Errorf("storage: stored value is not a record")
-	}
-	for _, ix := range p.ds.Indexes {
-		skey, present, err := secondaryKey(ix, old, pk)
-		if err != nil {
-			return err
-		}
-		if !present {
-			continue
-		}
-		if err := p.secondaries[ix.Name].Delete(skey); err != nil {
+	for j, ix := range p.ds.Indexes {
+		if err := p.secondaries[ix.Name].ApplyBatch(fs.sec[j]); err != nil {
 			return err
 		}
 	}
-	return nil
+	return p.primary.Delete(pk)
 }
 
 // Lookup returns the record with the given primary key fields.
@@ -456,43 +405,54 @@ func (p *Partition) Lookup(pkValues []adm.Value) (*adm.Record, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	v, err := adm.DecodeOne(val)
+	rec, err := decodeStored(val)
 	if err != nil {
 		return nil, false, err
 	}
-	rec, isRec := v.(*adm.Record)
-	if !isRec {
-		return nil, false, fmt.Errorf("storage: stored value is not a record")
-	}
 	return rec, true, nil
+}
+
+// decodeStored decodes a stored primary value back into its record.
+func decodeStored(val []byte) (*adm.Record, error) {
+	v, err := adm.DecodeOne(val)
+	if err != nil {
+		return nil, err
+	}
+	rec, ok := v.(*adm.Record)
+	if !ok {
+		return nil, fmt.Errorf("storage: stored value is not a record")
+	}
+	return rec, nil
 }
 
 // Scan invokes fn for every record in the partition in primary key order.
 // fn returning false stops early.
 func (p *Partition) Scan(fn func(rec *adm.Record) bool) error {
+	var decErr error
+	err := p.ScanEncoded(func(val []byte) bool {
+		rec, err := decodeStored(val)
+		if err != nil {
+			decErr = err
+			return false
+		}
+		return fn(rec)
+	})
+	if decErr != nil {
+		return decErr
+	}
+	return err
+}
+
+// ScanEncoded invokes fn with every stored record's serialized bytes in
+// primary key order; fn returning false stops early. rec aliases storage
+// memory: fn must not modify it, and must copy it to keep it past the call.
+func (p *Partition) ScanEncoded(fn func(rec []byte) bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return fmt.Errorf("storage: partition closed")
 	}
-	var scanErr error
-	err := p.primary.Scan(nil, nil, func(_, val []byte) bool {
-		v, err := adm.DecodeOne(val)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		rec, ok := v.(*adm.Record)
-		if !ok {
-			scanErr = fmt.Errorf("storage: stored value is not a record")
-			return false
-		}
-		return fn(rec)
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-	return err
+	return p.primary.Scan(nil, nil, func(_, val []byte) bool { return fn(val) })
 }
 
 // Count reports the number of live records.
@@ -539,12 +499,12 @@ func (p *Partition) SearchBTree(indexName string, value adm.Value) ([]*adm.Recor
 		if !found {
 			return true
 		}
-		v, err := adm.DecodeOne(val)
+		rec, err := decodeStored(val)
 		if err != nil {
 			innerErr = err
 			return false
 		}
-		out = append(out, v.(*adm.Record))
+		out = append(out, rec)
 		return true
 	})
 	if innerErr != nil {
@@ -584,12 +544,12 @@ func (p *Partition) SearchRTree(indexName string, rect adm.Rectangle) ([]*adm.Re
 			if !found {
 				return true
 			}
-			v, err := adm.DecodeOne(val)
+			rec, err := decodeStored(val)
 			if err != nil {
 				innerErr = err
 				return false
 			}
-			out = append(out, v.(*adm.Record))
+			out = append(out, rec)
 			return true
 		})
 		if innerErr != nil {
@@ -616,16 +576,14 @@ func (p *Partition) VerifyIndexes() error {
 	expect := make(map[string]int, len(p.ds.Indexes))
 	var checkErr error
 	err := p.primary.Scan(nil, nil, func(pk, val []byte) bool {
-		v, err := adm.DecodeOne(val)
+		rec, err := decodeStored(val)
 		if err != nil {
 			checkErr = err
 			return false
 		}
-		rec, ok := v.(*adm.Record)
-		if !ok {
-			checkErr = fmt.Errorf("storage: stored value is not a record")
-			return false
-		}
+		// Expected keys come from the decoded record (secondaryKey), not
+		// from the bytes the write path keys with (secondaryKeyEncoded):
+		// an independent reference, so a key-derivation defect shows.
 		for _, ix := range p.ds.Indexes {
 			skey, present, err := secondaryKey(ix, rec, pk)
 			if err != nil {
@@ -729,10 +687,12 @@ func (p *Partition) Close() error {
 	return first
 }
 
-// secondaryKey builds the secondary index key for rec: the indexed field's
-// encoding (or grid cell for rtree) concatenated with the primary key, so
-// duplicate field values remain distinct entries. ok=false means the field
-// is absent/null and the record is simply not indexed.
+// secondaryKey builds the secondary index key for a decoded rec: the
+// indexed field's encoding (or grid cell for rtree) concatenated with the
+// primary key, so duplicate field values remain distinct entries. ok=false
+// means the field is absent/null and the record is simply not indexed.
+// Only VerifyIndexes uses it, as the reference secondaryKeyEncoded must
+// agree with.
 func secondaryKey(ix IndexDecl, rec *adm.Record, pk []byte) (key []byte, ok bool, err error) {
 	v, present := rec.Field(ix.Field)
 	if !present || v.Tag() == adm.TagNull || v.Tag() == adm.TagMissing {
