@@ -27,10 +27,13 @@ vet:
 	$(GO) vet ./...
 
 # One-iteration smoke run of the write- and read-path benchmarks: proves the
-# insert paths and the block-cache read path still execute end to end without
-# paying for a full measurement. ReadPath also asserts its acceptance bounds
-# (hot gets issue zero disk reads; scans read each block once) even at 1x.
+# insert paths, byte-level validation and routing, and the block-cache read
+# path still execute end to end without paying for a full measurement.
+# ReadPath also asserts its acceptance bounds (hot gets issue zero disk
+# reads; scans read each block once) even at 1x.
 bench-smoke:
+	$(GO) test -run '^$$' -bench=ValidateEncoded -benchtime=1x ./internal/adm/
+	$(GO) test -run '^$$' -bench=KeyHashFunc -benchtime=1x ./internal/storage/
 	$(GO) test -run '^$$' -bench=InsertPath -benchtime=1x ./internal/storage/
 	$(GO) test -run '^$$' -bench=FlushConcurrency -benchtime=1000x ./internal/lsm/
 	$(GO) test -run '^$$' -bench=ReadPath -benchtime=1x ./internal/lsm/

@@ -38,6 +38,12 @@ echo "perfbench: ok"
 go test -count=20 -run TestWALSegmentLifecycle ./internal/lsm/
 echo "flush checkpoint: ok"
 
+# A task that ends while its node is dead fails the job, whichever of the
+# node's death, its input closing or its cancel its select sees first.
+# Repeat the test, since a regression shows up only on some runs.
+go test -count=50 -run TestNodeDeathFailsJobAndFiresClusterEvent ./internal/hyracks/
+echo "node death: ok"
+
 # Replay the checked-in fuzz corpora (testdata/fuzz seeds run as ordinary
 # tests) for the two codecs with wire formats: ADM records and LSM run
 # blocks. Keeps past crashers fixed without needing a fuzzing budget.

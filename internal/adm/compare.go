@@ -1,7 +1,8 @@
 package adm
 
 import (
-	"hash/fnv"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -164,79 +165,221 @@ func compareRecords(a, b *Record) int {
 // values hash identically. Int64 and double values that are numerically
 // equal hash identically too.
 func Hash(v Value) uint64 {
-	h := fnv.New64a()
-	hashInto(h, v)
-	return h.Sum64()
+	h := fnvOffset64
+	h.value(v)
+	return uint64(h)
 }
 
-type hasher interface {
-	Write(p []byte) (int, error)
-}
+// fnv64a is a 64-bit FNV-1a hash state. Hash and HashEncoded feed it the
+// same byte stream for a value and its encoding; it never allocates.
+type fnv64a uint64
 
-func hashInto(h hasher, v Value) {
-	writeByte := func(b byte) { h.Write([]byte{b}) }
-	write64 := func(u uint64) {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(u >> (8 * i))
-		}
-		h.Write(buf[:])
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+	// numericHashTag prefixes int64 and double alike, so that Int64(1) and
+	// Double(1) hash the same, matching Compare.
+	numericHashTag = 0xFE
+)
+
+func (h *fnv64a) writeByte(b byte) { *h = (*h ^ fnv64a(b)) * fnvPrime64 }
+
+func (h *fnv64a) write(p []byte) {
+	for _, b := range p {
+		h.writeByte(b)
 	}
+}
+
+func (h *fnv64a) writeString(s string) {
+	for i := 0; i < len(s); i++ {
+		h.writeByte(s[i])
+	}
+}
+
+// write64 writes u as 8 little-endian bytes.
+func (h *fnv64a) write64(u uint64) {
+	for i := 0; i < 8; i++ {
+		h.writeByte(byte(u >> (8 * i)))
+	}
+}
+
+func (h *fnv64a) writeFloat(f float64) { h.write64(math.Float64bits(canonicalFloat(f))) }
+
+func (h *fnv64a) writeBool(b bool) {
+	h.writeByte(byte(TagBoolean))
+	if b {
+		h.writeByte(1)
+	} else {
+		h.writeByte(0)
+	}
+}
+
+func (h *fnv64a) value(v Value) {
 	switch t := v.(type) {
 	case Missing:
-		writeByte(byte(TagMissing))
+		h.writeByte(byte(TagMissing))
 	case Null:
-		writeByte(byte(TagNull))
+		h.writeByte(byte(TagNull))
 	case Boolean:
-		writeByte(byte(TagBoolean))
-		if t {
-			writeByte(1)
-		} else {
-			writeByte(0)
-		}
+		h.writeBool(bool(t))
 	case Int64:
-		// Hash numerics through their float64 representation so that
-		// Int64(1) and Double(1) hash alike, matching Compare.
-		writeByte(0xFE)
-		write64(math.Float64bits(float64(t)))
+		h.writeByte(numericHashTag)
+		h.writeFloat(float64(t))
 	case Double:
-		writeByte(0xFE)
-		write64(math.Float64bits(canonicalFloat(float64(t))))
+		h.writeByte(numericHashTag)
+		h.writeFloat(float64(t))
 	case String:
-		writeByte(byte(TagString))
-		h.Write([]byte(t))
+		h.writeByte(byte(TagString))
+		h.writeString(string(t))
 	case Datetime:
-		writeByte(byte(TagDatetime))
-		write64(uint64(t))
+		h.writeByte(byte(TagDatetime))
+		h.write64(uint64(t))
 	case Point:
-		writeByte(byte(TagPoint))
-		write64(math.Float64bits(canonicalFloat(t.X)))
-		write64(math.Float64bits(canonicalFloat(t.Y)))
+		h.writeByte(byte(TagPoint))
+		h.writeFloat(t.X)
+		h.writeFloat(t.Y)
 	case Rectangle:
-		writeByte(byte(TagRectangle))
-		hashInto(h, t.Low)
-		hashInto(h, t.High)
+		h.writeByte(byte(TagRectangle))
+		h.value(t.Low)
+		h.value(t.High)
 	case *OrderedList:
-		writeByte(byte(TagOrderedList))
+		h.writeByte(byte(TagOrderedList))
 		for _, it := range t.Items {
-			hashInto(h, it)
+			h.value(it)
 		}
 	case *UnorderedList:
-		writeByte(byte(TagUnorderedList))
+		h.writeByte(byte(TagUnorderedList))
 		for _, it := range sortedItems(t.Items) {
-			hashInto(h, it)
+			h.value(it)
 		}
 	case *Record:
-		writeByte(byte(TagRecord))
+		h.writeByte(byte(TagRecord))
 		names := append([]string(nil), t.names...)
 		sort.Strings(names)
 		for _, n := range names {
-			h.Write([]byte(n))
-			writeByte(0)
+			h.writeString(n)
+			h.writeByte(0)
 			fv, _ := t.Field(n)
-			hashInto(h, fv)
+			h.value(fv)
 		}
 	}
+}
+
+// HashEncoded returns Hash of the value encoded at the front of enc,
+// reading scalars and ordered lists straight from the bytes. Records and
+// unordered lists hash independently of their field or item order, so
+// those are decoded. Bytes after the value are ignored; a malformed value
+// is an error.
+func HashEncoded(enc []byte) (uint64, error) {
+	h := fnvOffset64
+	if _, err := h.encoded(enc); err != nil {
+		return 0, err
+	}
+	return uint64(h), nil
+}
+
+// encoded folds the value at the front of buf into h exactly as value
+// folds its decoded form, and returns the value's encoded length.
+func (h *fnv64a) encoded(buf []byte) (int, error) {
+	if len(buf) == 0 {
+		return 0, fmt.Errorf("adm: hash of empty buffer")
+	}
+	tag := TypeTag(buf[0])
+	pos := 1
+	float := func(off int) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+	}
+	switch tag {
+	case TagMissing, TagNull:
+		h.writeByte(byte(tag))
+		return pos, nil
+	case TagBoolean:
+		if len(buf) < pos+1 {
+			return 0, errTruncated(tag)
+		}
+		h.writeBool(buf[pos] != 0)
+		return pos + 1, nil
+	case TagInt64:
+		v, n := binary.Varint(buf[pos:])
+		if n <= 0 {
+			return 0, errTruncated(tag)
+		}
+		h.writeByte(numericHashTag)
+		h.writeFloat(float64(v))
+		return pos + n, nil
+	case TagDatetime:
+		v, n := binary.Varint(buf[pos:])
+		if n <= 0 {
+			return 0, errTruncated(tag)
+		}
+		h.writeByte(byte(TagDatetime))
+		h.write64(uint64(v))
+		return pos + n, nil
+	case TagDouble:
+		if len(buf) < pos+8 {
+			return 0, errTruncated(tag)
+		}
+		h.writeByte(numericHashTag)
+		h.writeFloat(float(pos))
+		return pos + 8, nil
+	case TagString:
+		ln, n := binary.Uvarint(buf[pos:])
+		if n <= 0 {
+			return 0, errTruncated(tag)
+		}
+		pos += n
+		if uint64(len(buf)-pos) < ln {
+			return 0, errTruncated(tag)
+		}
+		h.writeByte(byte(TagString))
+		h.write(buf[pos : pos+int(ln)])
+		return pos + int(ln), nil
+	case TagPoint:
+		if len(buf) < pos+16 {
+			return 0, errTruncated(tag)
+		}
+		h.writeByte(byte(TagPoint))
+		h.writeFloat(float(pos))
+		h.writeFloat(float(pos + 8))
+		return pos + 16, nil
+	case TagRectangle:
+		if len(buf) < pos+32 {
+			return 0, errTruncated(tag)
+		}
+		h.writeByte(byte(TagRectangle))
+		for corner := pos; corner < pos+32; corner += 16 {
+			h.writeByte(byte(TagPoint))
+			h.writeFloat(float(corner))
+			h.writeFloat(float(corner + 8))
+		}
+		return pos + 32, nil
+	case TagOrderedList:
+		cnt, n := binary.Uvarint(buf[pos:])
+		if n <= 0 {
+			return 0, errTruncated(tag)
+		}
+		pos += n
+		if cnt > uint64(len(buf)-pos) {
+			return 0, errTruncated(tag)
+		}
+		h.writeByte(byte(TagOrderedList))
+		for i := uint64(0); i < cnt; i++ {
+			used, err := h.encoded(buf[pos:])
+			if err != nil {
+				return 0, err
+			}
+			pos += used
+		}
+		return pos, nil
+	case TagUnorderedList, TagRecord:
+		v, n, err := Decode(buf)
+		if err != nil {
+			return 0, err
+		}
+		h.value(v)
+		return n, nil
+	}
+	return 0, fmt.Errorf("adm: unknown tag 0x%02x", buf[0])
 }
 
 // canonicalFloat maps -0 to +0 so that equal floats hash identically.

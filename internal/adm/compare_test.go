@@ -100,6 +100,81 @@ func TestHashDistinguishes(t *testing.T) {
 	}
 }
 
+// TestHashPinned pins Hash outputs: partition placement of stored records
+// is derived from them, so any change would strand data on restart.
+func TestHashPinned(t *testing.T) {
+	cases := []struct {
+		v    Value
+		want uint64
+	}{
+		{Missing{}, 0xaf63bd4c8601b7df},
+		{Null{}, 0xaf63bc4c8601b62c},
+		{Boolean(true), 0x08395307b4f1348c},
+		{Boolean(false), 0x08395407b4f1363f},
+		{Int64(-42), 0xb2cda4c1ca0a8dbc},
+		{Int64(1<<53 + 1), 0xb2c36fc1ca01df28},
+		{Double(3.5), 0xb38f5ac1caaf21dd},
+		{Double(negZero()), 0xb39d32c1cabb1b41},
+		{String(""), 0xaf63b84c8601af60},
+		{String("s1-p0-0000000001"), 0x9b093f113e41c291},
+		{Datetime(1420070400000), 0x8ad950526b1fdad8},
+		{Point{X: 1, Y: -2}, 0xf3d614cfe8e256d7},
+		{Rectangle{Low: Point{X: 0, Y: 0}, High: Point{X: 10, Y: 10}}, 0xaa56495810202ad5},
+		{&OrderedList{Items: []Value{Int64(1), String("a"), Null{}}}, 0x8b6a25dfdddc5824},
+		{&UnorderedList{Items: []Value{String("b"), Int64(2)}}, 0xacc27ad6ca72c0c2},
+		{MustRecord([]string{"z", "a"}, []Value{Int64(1), &OrderedList{Items: []Value{Double(2)}}}), 0x9dbd8b1517b46821},
+	}
+	for _, c := range cases {
+		if got := Hash(c.v); got != c.want {
+			t.Errorf("Hash(%s) = %#016x, want %#016x", c.v, got, c.want)
+		}
+		got, err := HashEncoded(Encode(c.v))
+		if err != nil || got != c.want {
+			t.Errorf("HashEncoded(%s) = %#016x, %v; want %#016x", c.v, got, err, c.want)
+		}
+	}
+}
+
+func TestPropertyHashEncodedMatchesHash(t *testing.T) {
+	f := func(seed int64) bool {
+		v := randomValue(rand.New(rand.NewSource(seed)), 3)
+		got, err := HashEncoded(Encode(v))
+		return err == nil && got == Hash(v)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestHashEncodedRejectsMalformed(t *testing.T) {
+	enc := Encode(&OrderedList{Items: []Value{String("abc"), Int64(1 << 40), Point{X: 1, Y: 2}}})
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := HashEncoded(enc[:cut]); err == nil {
+			t.Errorf("HashEncoded accepted %d-byte truncation of a %d-byte value", cut, len(enc))
+		}
+	}
+	if _, err := HashEncoded([]byte{0xEE}); err == nil {
+		t.Error("HashEncoded accepted an unknown tag")
+	}
+}
+
+func TestHashAllocs(t *testing.T) {
+	str, num := Encode(String("s1-p0-0000000001")), Encode(Int64(-7))
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = Hash(String("s1-p0-0000000001"))
+		_ = Hash(Point{X: 1, Y: 2})
+		if _, err := HashEncoded(str); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := HashEncoded(num); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("scalar hashing allocates %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestPropertyCompareReflexiveAndAntisymmetric(t *testing.T) {
 	f := func(seedA, seedB int64) bool {
 		a := randomValue(rand.New(rand.NewSource(seedA)), 2)

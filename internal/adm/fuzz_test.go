@@ -1,6 +1,7 @@
 package adm
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -129,6 +130,98 @@ func FuzzScanRecordFields(f *testing.F) {
 			})
 			if err != nil || stopped != 1 || pn <= 0 || pn > n {
 				t.Fatalf("early stop: visited %d fields, consumed %d, %v", stopped, pn, err)
+			}
+		}
+	})
+}
+
+// FuzzHashEncoded: the byte-level hash must never panic, and wherever
+// DecodeOne accepts the input it must equal Hash of the decoded value. The
+// connector routes records with HashEncoded while PartitionOf places them
+// with Hash, so a divergence sends a record to a partition that never
+// finds it again.
+func FuzzHashEncoded(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	for _, v := range []Value{
+		Int64(1<<53 + 1),
+		Int64(-(1<<62 + 3)),
+		Double(negZero()),
+		Double(math.NaN()),
+		MustRecord([]string{"id", "n"}, []Value{String("a"), Int64(1)}),
+		MustRecord([]string{"n", "id"}, []Value{Int64(1), String("a")}),
+	} {
+		f.Add(Encode(v))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		got, err := HashEncoded(buf)
+		v, derr := DecodeOne(buf)
+		if derr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("HashEncoded rejected (%v) what DecodeOne accepted: %s", err, v)
+		}
+		if want := Hash(v); got != want {
+			t.Fatalf("HashEncoded = %#016x, Hash(%s) = %#016x", got, v, want)
+		}
+	})
+}
+
+// fuzzValidateTypes returns an open and a closed record type with a nested
+// record, an ordered list of records and an unordered list.
+func fuzzValidateTypes() []*RecordType {
+	inner := MustRecordType("Inner", false, []Field{
+		{Name: "n", Type: TInt64},
+		{Name: "s", Type: TString, Optional: true},
+	})
+	var types []*RecordType
+	for _, open := range []bool{true, false} {
+		types = append(types, MustRecordType("Outer", open, []Field{
+			{Name: "id", Type: TString},
+			{Name: "inner", Type: inner},
+			{Name: "items", Type: &OrderedListType{Item: inner}, Optional: true},
+			{Name: "tags", Type: &UnorderedListType{Item: TString}, Optional: true},
+			{Name: "score", Type: TDouble, Optional: true},
+		}))
+	}
+	return types
+}
+
+// FuzzValidateEncoded: the byte-level validator must reach the verdict of
+// DecodeOne followed by Validate on every input: both reject or neither
+// does. The store admits records on ValidateEncoded's word alone.
+func FuzzValidateEncoded(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	inner := func(n int64) *Record { return MustRecord([]string{"n"}, []Value{Int64(n)}) }
+	for _, v := range []Value{
+		MustRecord([]string{"id", "inner"}, []Value{String("a"), inner(1)}),
+		MustRecord(
+			[]string{"id", "inner", "items", "tags", "score", "extra"},
+			[]Value{String("a"), inner(1), &OrderedList{Items: []Value{inner(2), inner(3)}},
+				&UnorderedList{Items: []Value{String("x")}}, Int64(4), MustRecord([]string{"k"}, []Value{Null{}})},
+		),
+		MustRecord([]string{"id", "inner"}, []Value{String("a"), MustRecord([]string{"s"}, []Value{String("no n")})}),
+		MustRecord([]string{"id", "inner", "items"}, []Value{String("a"), inner(1), &OrderedList{Items: []Value{String("x")}}}),
+	} {
+		f.Add(Encode(v))
+	}
+	types := fuzzValidateTypes()
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		for _, rt := range types {
+			wantErr := func() error {
+				v, err := DecodeOne(buf)
+				if err != nil {
+					return err
+				}
+				return rt.Validate(v)
+			}()
+			gotErr := rt.ValidateEncoded(buf)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("open=%v: ValidateEncoded err=%v, DecodeOne+Validate err=%v", rt.Open(), gotErr, wantErr)
 			}
 		}
 	})

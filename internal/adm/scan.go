@@ -2,6 +2,7 @@ package adm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -147,115 +148,35 @@ func ScanRecordFields(buf []byte, fn func(name, encValue []byte) bool) (int, err
 }
 
 // validateEncodedMaxFields bounds the allocation-free duplicate/seen
-// tracking in ValidateEncoded; larger records fall back to a full decode.
+// tracking in ValidateEncoded; wider records fall back to a full decode.
 const validateEncodedMaxFields = 64
 
 // ValidateEncoded reports whether the single encoded value in buf conforms
 // to the record type, with the same outcome as DecodeOne followed by
-// Validate — including rejection of trailing bytes, duplicate field names,
-// and (for closed types) undeclared fields — but without materializing the
-// record for the common case of primitive-typed fields. Records wider than
-// an internal bound, or with declared fields of nested record/list types,
-// transparently fall back to the decoding path.
+// Validate — including rejection of trailing bytes, duplicate field names
+// at any depth, and (for closed types) undeclared fields — without
+// materializing the record. Nested record types and list items are checked
+// recursively from the bytes. Only a record (at any depth) wider than an
+// internal bound, or a field whose Type is implemented outside this
+// package, makes it fall back to decoding the whole value.
 func (r *RecordType) ValidateEncoded(buf []byte) error {
-	if len(buf) == 0 {
-		return fmt.Errorf("adm: decode of empty buffer")
-	}
-	if TypeTag(buf[0]) != TagRecord {
-		return fmt.Errorf("adm: value of type %s does not conform to record type %s", TypeTag(buf[0]), r.Name())
-	}
-	if len(r.fields) > validateEncodedMaxFields {
+	n, err := validateEncoded(r, buf)
+	if errors.Is(err, errValidateFallback) {
 		return r.validateDecoded(buf)
-	}
-	var seen [validateEncodedMaxFields]bool
-	var names [validateEncodedMaxFields][]byte
-	nNames := 0
-	var walkErr error
-	consumed, err := ScanRecordFields(buf, func(name, encValue []byte) bool {
-		// Duplicate field names are invalid regardless of the type; the
-		// decode path rejects them in NewRecord.
-		for i := 0; i < nNames; i++ {
-			if string(names[i]) == string(name) {
-				walkErr = fmt.Errorf("adm: duplicate field %q in record", name)
-				return false
-			}
-		}
-		if nNames < len(names) {
-			names[nNames] = name
-			nNames++
-		} else {
-			walkErr = errValidateFallback
-			return false
-		}
-		idx, declared := r.index[string(name)]
-		if !declared {
-			if !r.open {
-				walkErr = fmt.Errorf("adm: undeclared field %q in closed type %s", name, r.Name())
-				return false
-			}
-			return true
-		}
-		seen[idx] = true
-		f := r.fields[idx]
-		tag := TypeTag(encValue[0])
-		switch tag {
-		case TagMissing:
-			if !f.Optional {
-				walkErr = fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
-				return false
-			}
-			return true
-		case TagNull:
-			if !f.Optional {
-				walkErr = fmt.Errorf("adm: null value for non-optional field %q of type %s", f.Name, r.Name())
-				return false
-			}
-			return true
-		}
-		pt, isPrim := f.Type.(*PrimitiveType)
-		if !isPrim {
-			// Nested record/list types keep their full structural
-			// validation: decode just this field.
-			v, _, err := Decode(encValue)
-			if err != nil {
-				walkErr = err
-				return false
-			}
-			if err := f.Type.Validate(v); err != nil {
-				walkErr = fmt.Errorf("adm: field %q: %w", f.Name, err)
-				return false
-			}
-			return true
-		}
-		if tag != pt.tag && !(pt.tag == TagDouble && tag == TagInt64) {
-			walkErr = fmt.Errorf("adm: field %q: value of type %s does not conform to %s", f.Name, tag, pt.Name())
-			return false
-		}
-		return true
-	})
-	if walkErr == errValidateFallback {
-		return r.validateDecoded(buf)
-	}
-	if walkErr != nil {
-		return walkErr
 	}
 	if err != nil {
 		return err
 	}
-	if consumed != len(buf) {
-		return fmt.Errorf("adm: %d trailing bytes after value", len(buf)-consumed)
-	}
-	for i, f := range r.fields {
-		if !seen[i] && !f.Optional {
-			return fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
-		}
+	if n != len(buf) {
+		return fmt.Errorf("adm: %d trailing bytes after value", len(buf)-n)
 	}
 	return nil
 }
 
-// errValidateFallback is an internal sentinel: the byte-level walk hit a
-// record too wide for its fixed-size tracking and the caller should decode.
-var errValidateFallback = fmt.Errorf("adm: validate fallback")
+// errValidateFallback is an internal sentinel: the byte-level walk met a
+// record too wide for its fixed-size tracking, or a foreign Type, and the
+// caller should decode.
+var errValidateFallback = errors.New("adm: validate fallback")
 
 func (r *RecordType) validateDecoded(buf []byte) error {
 	v, err := DecodeOne(buf)
@@ -263,4 +184,211 @@ func (r *RecordType) validateDecoded(buf []byte) error {
 		return err
 	}
 	return r.Validate(v)
+}
+
+// validateEncoded checks the encoded value at the front of buf as
+// t.Validate checks its decoded form, and returns the value's length. A nil
+// t admits any value, checking only what Decode checks: well-formed bytes
+// and no duplicate field names in any record.
+func validateEncoded(t Type, buf []byte) (int, error) {
+	if len(buf) == 0 {
+		return 0, fmt.Errorf("adm: decode of empty buffer")
+	}
+	tag := TypeTag(buf[0])
+	switch t := t.(type) {
+	case nil:
+		switch tag {
+		case TagRecord:
+			return validateEncodedRecord(nil, buf)
+		case TagOrderedList, TagUnorderedList:
+			return validateEncodedList(nil, "", buf)
+		}
+		return SkipValue(buf)
+	case *PrimitiveType:
+		if tag != t.tag && !(t.tag == TagDouble && tag == TagInt64) {
+			return 0, fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
+		}
+		return SkipValue(buf)
+	case *RecordType:
+		if tag != TagRecord {
+			return 0, fmt.Errorf("adm: value of type %s does not conform to record type %s", tag, t.Name())
+		}
+		return validateEncodedRecord(t, buf)
+	case *OrderedListType:
+		if tag != TagOrderedList {
+			return 0, fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
+		}
+		return validateEncodedList(t.Item, "list", buf)
+	case *UnorderedListType:
+		if tag != TagUnorderedList {
+			return 0, fmt.Errorf("adm: value of type %s does not conform to %s", tag, t.Name())
+		}
+		return validateEncodedList(t.Item, "bag", buf)
+	}
+	return 0, errValidateFallback
+}
+
+// validateEncodedList checks every item of the encoded list at the front of
+// buf against item (nil: any) and returns the list's length. kind names the
+// list in errors, as the list types' Validate does.
+func validateEncodedList(item Type, kind string, buf []byte) (int, error) {
+	tag := TypeTag(buf[0])
+	pos := 1
+	cnt, n := binary.Uvarint(buf[pos:])
+	if n <= 0 {
+		return 0, errTruncated(tag)
+	}
+	pos += n
+	if cnt > uint64(len(buf)-pos) {
+		return 0, errTruncated(tag)
+	}
+	for i := uint64(0); i < cnt; i++ {
+		used, err := validateEncoded(item, buf[pos:])
+		if err != nil {
+			if item == nil || errors.Is(err, errValidateFallback) {
+				return 0, err
+			}
+			return 0, fmt.Errorf("adm: %s item %d: %w", kind, i, err)
+		}
+		pos += used
+	}
+	return pos, nil
+}
+
+// validateEncodedRecord checks the encoded record at the front of buf
+// against r (nil: any record) and returns the record's length.
+func validateEncodedRecord(r *RecordType, buf []byte) (int, error) {
+	if r != nil && len(r.fields) > validateEncodedMaxFields {
+		return 0, errValidateFallback
+	}
+	pos := 1
+	cnt, n := binary.Uvarint(buf[pos:])
+	if n <= 0 {
+		return 0, errTruncated(TagRecord)
+	}
+	pos += n
+	if cnt > uint64(len(buf)-pos) {
+		return 0, errTruncated(TagRecord)
+	}
+	if cnt > validateEncodedMaxFields {
+		return 0, errValidateFallback
+	}
+	// Duplicate field names are invalid regardless of the type; the decode
+	// path rejects them in NewRecord. A repeated declared name shows in
+	// seen; undeclared names, when there are two or more, are compared
+	// after the walk.
+	var seen [validateEncodedMaxFields]bool
+	nUndeclared := 0
+	for i := 0; i < int(cnt); i++ {
+		ln, n := binary.Uvarint(buf[pos:])
+		if n <= 0 {
+			return 0, errTruncated(TagRecord)
+		}
+		pos += n
+		if uint64(len(buf)-pos) < ln {
+			return 0, errTruncated(TagRecord)
+		}
+		name := buf[pos : pos+int(ln)]
+		pos += int(ln)
+		idx := -1
+		if r != nil {
+			idx = r.fieldIndex(i, name)
+		}
+		// ft stays nil for undeclared fields and for absent optional ones:
+		// their values need only be well-formed.
+		var ft Type
+		var f *Field
+		if idx < 0 {
+			if r != nil && !r.open {
+				return 0, fmt.Errorf("adm: undeclared field %q in closed type %s", name, r.Name())
+			}
+			nUndeclared++
+		} else {
+			if seen[idx] {
+				return 0, fmt.Errorf("adm: duplicate field %q in record", name)
+			}
+			seen[idx] = true
+			f = &r.fields[idx]
+			ft = f.Type
+			if pos < len(buf) {
+				switch TypeTag(buf[pos]) {
+				case TagMissing:
+					if !f.Optional {
+						return 0, fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
+					}
+					ft = nil
+				case TagNull:
+					if !f.Optional {
+						return 0, fmt.Errorf("adm: null value for non-optional field %q of type %s", f.Name, r.Name())
+					}
+					ft = nil
+				}
+			}
+		}
+		used, err := validateEncoded(ft, buf[pos:])
+		if err != nil {
+			if ft == nil || errors.Is(err, errValidateFallback) {
+				return 0, err
+			}
+			return 0, fmt.Errorf("adm: field %q: %w", f.Name, err)
+		}
+		pos += used
+	}
+	if nUndeclared > 1 {
+		if err := r.undeclaredDuplicate(buf); err != nil {
+			return 0, err
+		}
+	}
+	if r != nil {
+		for i, f := range r.fields {
+			if !seen[i] && !f.Optional {
+				return 0, fmt.Errorf("adm: missing required field %q of type %s", f.Name, r.Name())
+			}
+		}
+	}
+	return pos, nil
+}
+
+// undeclaredDuplicate reports a field name that occurs twice among the
+// fields of the well-formed encoded record buf that r (nil: any record)
+// does not declare. At most validateEncodedMaxFields names are compared.
+func (r *RecordType) undeclaredDuplicate(buf []byte) error {
+	var names [validateEncodedMaxFields][]byte
+	i, n := 0, 0
+	var dup []byte
+	_, err := ScanRecordFields(buf, func(name, _ []byte) bool {
+		i++
+		if r != nil && r.fieldIndex(i-1, name) >= 0 {
+			return true
+		}
+		for _, prev := range names[:n] {
+			if string(prev) == string(name) {
+				dup = name
+				return false
+			}
+		}
+		names[n] = name
+		n++
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	if dup != nil {
+		return fmt.Errorf("adm: duplicate field %q in record", dup)
+	}
+	return nil
+}
+
+// fieldIndex returns the index of the declared field called name, or -1.
+// Records usually carry their fields in declaration order, so the field
+// at the record's position i is tried before the map.
+func (r *RecordType) fieldIndex(i int, name []byte) int {
+	if i < len(r.fields) && r.fields[i].Name == string(name) {
+		return i
+	}
+	if idx, ok := r.index[string(name)]; ok {
+		return idx
+	}
+	return -1
 }

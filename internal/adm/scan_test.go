@@ -1,17 +1,36 @@
 package adm
 
 import (
+	"fmt"
 	"testing"
 )
 
 func scanTestType(t *testing.T, open bool) *RecordType {
 	t.Helper()
+	user := MustRecordType("User", false, []Field{
+		{Name: "name", Type: TString},
+		{Name: "followers", Type: TInt64, Optional: true},
+	})
 	return MustRecordType("Tweet", open, []Field{
 		{Name: "id", Type: TString},
 		{Name: "score", Type: TDouble},
 		{Name: "location", Type: TPoint, Optional: true},
 		{Name: "tags", Type: &OrderedListType{Item: TString}, Optional: true},
+		{Name: "user", Type: user, Optional: true},
+		{Name: "friends", Type: &UnorderedListType{Item: user}, Optional: true},
 	})
+}
+
+// encRecord hand-encodes a record from already-encoded field values, so a
+// test can build what the builder refuses (duplicate field names).
+func encRecord(names []string, vals [][]byte) []byte {
+	buf := []byte{byte(TagRecord), byte(len(names))}
+	for i, n := range names {
+		buf = append(buf, byte(len(n)))
+		buf = append(buf, n...)
+		buf = append(buf, vals[i]...)
+	}
+	return buf
 }
 
 func scanTestRecord(t *testing.T) *Record {
@@ -135,6 +154,51 @@ func TestValidateEncodedMatchesValidate(t *testing.T) {
 			b.Add("id", String("x")).Add("score", Double(1)).Add("zzz", Boolean(false))
 		})},
 		{"not a record", Encode(String("just a string"))},
+		{"two undeclared fields", mk(func(b *RecordBuilder) {
+			b.Add("id", String("x")).Add("zz1", Int64(1)).Add("score", Double(1)).Add("zz2", Int64(2))
+		})},
+		{"duplicate undeclared field", encRecord(
+			[]string{"id", "zzz", "score", "zzz"},
+			[][]byte{Encode(String("x")), Encode(Int64(1)), Encode(Double(1)), Encode(Int64(2))},
+		)},
+		{"duplicate declared field", encRecord(
+			[]string{"id", "score", "id"},
+			[][]byte{Encode(String("x")), Encode(Double(1)), Encode(String("y"))},
+		)},
+		{"nested conforming", mk(func(b *RecordBuilder) {
+			b.Add("id", String("x")).Add("score", Double(1)).
+				Add("user", MustRecord([]string{"name", "followers"}, []Value{String("u"), Int64(3)})).
+				Add("friends", &UnorderedList{Items: []Value{MustRecord([]string{"name"}, []Value{String("f")})}})
+		})},
+		{"nested missing required", mk(func(b *RecordBuilder) {
+			b.Add("id", String("x")).Add("score", Double(1)).
+				Add("user", MustRecord([]string{"followers"}, []Value{Int64(3)}))
+		})},
+		{"nested undeclared in closed type", mk(func(b *RecordBuilder) {
+			b.Add("id", String("x")).Add("score", Double(1)).
+				Add("user", MustRecord([]string{"name", "zzz"}, []Value{String("u"), Int64(3)}))
+		})},
+		{"nested duplicate field", encRecord(
+			[]string{"id", "score", "user"},
+			[][]byte{Encode(String("x")), Encode(Double(1)),
+				encRecord([]string{"name", "name"}, [][]byte{Encode(String("u")), Encode(String("v"))})},
+		)},
+		{"duplicate field in undeclared record", encRecord(
+			[]string{"id", "score", "zzz"},
+			[][]byte{Encode(String("x")), Encode(Double(1)),
+				encRecord([]string{"k", "k"}, [][]byte{Encode(Null{}), Encode(Null{})})},
+		)},
+		{"bad record list item", mk(func(b *RecordBuilder) {
+			b.Add("id", String("x")).Add("score", Double(1)).
+				Add("friends", &UnorderedList{Items: []Value{
+					MustRecord([]string{"name"}, []Value{String("f")}),
+					MustRecord([]string{"name"}, []Value{Int64(4)}),
+				}})
+		})},
+		{"null record list item", mk(func(b *RecordBuilder) {
+			b.Add("id", String("x")).Add("score", Double(1)).
+				Add("friends", &UnorderedList{Items: []Value{Null{}}})
+		})},
 	}
 	for _, open := range []bool{true, false} {
 		rt := scanTestType(t, open)
@@ -185,13 +249,20 @@ func TestValidateEncodedDuplicateField(t *testing.T) {
 
 func TestValidateEncodedAllocs(t *testing.T) {
 	rt := scanTestType(t, true)
-	enc := Encode((&RecordBuilder{}).
+	flat := Encode((&RecordBuilder{}).
 		Add("id", String("t1")).
 		Add("score", Double(2)).
 		Add("location", Point{X: 3, Y: 4}).
+		Add("extra1", Boolean(true)).
+		Add("extra2", Int64(5)).
 		MustBuild())
+	tweet := tweetType(t)
+	nested := Encode(sampleTweet())
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := rt.ValidateEncoded(enc); err != nil {
+		if err := rt.ValidateEncoded(flat); err != nil {
+			t.Fatal(err)
+		}
+		if err := tweet.ValidateEncoded(nested); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -200,35 +271,66 @@ func TestValidateEncodedAllocs(t *testing.T) {
 	}
 }
 
+// TestValidateEncodedWideRecordFallsBack: a nested record wider than the
+// fixed-size tracking still gets the decode path's verdict.
+func TestValidateEncodedWideRecordFallsBack(t *testing.T) {
+	rt := scanTestType(t, true)
+	wide := &RecordBuilder{}
+	for i := 0; i < validateEncodedMaxFields+1; i++ {
+		wide.Add(fmt.Sprintf("f%d", i), Int64(int64(i)))
+	}
+	base := func() *RecordBuilder {
+		return (&RecordBuilder{}).Add("id", String("x")).Add("score", Double(1))
+	}
+	if err := rt.ValidateEncoded(Encode(base().Add("extra", wide.MustBuild()).MustBuild())); err != nil {
+		t.Fatalf("wide undeclared record rejected: %v", err)
+	}
+	if err := rt.ValidateEncoded(Encode(base().Add("user", wide.MustBuild()).MustBuild())); err == nil {
+		t.Fatal("wide record accepted for closed nested type User")
+	}
+}
+
 func BenchmarkValidateEncoded(b *testing.B) {
-	rt := MustRecordType("Tweet", true, []Field{
+	flatType := MustRecordType("Tweet", true, []Field{
 		{Name: "id", Type: TString},
 		{Name: "score", Type: TDouble},
 		{Name: "location", Type: TPoint, Optional: true},
 	})
-	enc := Encode((&RecordBuilder{}).
+	flat := Encode((&RecordBuilder{}).
 		Add("id", String("t1")).
 		Add("score", Double(2)).
 		Add("location", Point{X: 3, Y: 4}).
 		MustBuild())
-	b.Run("byte-level", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := rt.ValidateEncoded(enc); err != nil {
-				b.Fatal(err)
+	// The TweetGen shape: a Tweet with a nested TwitterUser record.
+	nestedType := tweetType(b)
+	nested := Encode(sampleTweet())
+	for _, c := range []struct {
+		name string
+		rt   *RecordType
+		enc  []byte
+	}{
+		{"flat", flatType, flat},
+		{"nested", nestedType, nested},
+	} {
+		b.Run(c.name+"/byte-level", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.rt.ValidateEncoded(c.enc); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			v, err := DecodeOne(enc)
-			if err != nil {
-				b.Fatal(err)
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v, err := DecodeOne(c.enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := c.rt.Validate(v); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if err := rt.Validate(v); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

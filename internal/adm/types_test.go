@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func tweetType(t *testing.T) *RecordType {
+func tweetType(t testing.TB) *RecordType {
 	t.Helper()
 	user := MustRecordType("TwitterUser", true, []Field{
 		{Name: "screen_name", Type: TString},

@@ -464,6 +464,14 @@ func (c *Cluster) StartJob(spec *JobSpec) (*JobHandle, error) {
 				closeCancel(r)
 			}()
 			err := c.runTask(j, r.rt, r.in, r.node, r.cancel, spec.ops[r.opID].desc.Name())
+			// A task on a dead node may still end cleanly: a source sees
+			// ctx.Canceled and returns nil, and a sink may see its input
+			// closed, or its cancel channel fire, before node.dead in
+			// runTask's select. Unless the job itself was canceled, the
+			// node's death is why it ended.
+			if (err == nil || errors.Is(err, ErrJobCanceled)) && isClosed(r.node.dead) && !isClosed(j.canceled) {
+				err = fmt.Errorf("%w: %s", ErrNodeFailure, r.node.ID())
+			}
 			if err != nil && !errors.Is(err, ErrJobCanceled) {
 				j.fail(fmt.Errorf("%s[%d] on %s: %w",
 					spec.ops[r.opID].desc.Name(), r.part, r.node.ID(), err))

@@ -94,34 +94,67 @@ func (d *Dataset) PartitionOf(rec *adm.Record) (int, error) {
 	return int(h % uint64(len(d.NodeGroup))), nil
 }
 
+// The composite primary-key hash folds each key field's adm.Hash into an
+// FNV-style accumulator. Partition placement depends on these constants:
+// changing them moves every stored record to another partition.
+const (
+	keyHashBasis uint64 = 1469598103934665603
+	keyHashPrime uint64 = 1099511628211
+)
+
 func (d *Dataset) primaryKeyHash(rec *adm.Record) (uint64, error) {
-	var h uint64 = 1469598103934665603 // FNV offset basis
+	h := keyHashBasis
 	for _, f := range d.PrimaryKey {
 		v, ok := rec.Field(f)
 		if !ok {
 			return 0, fmt.Errorf("storage: record lacks primary key field %q", f)
 		}
-		h = h*1099511628211 ^ adm.Hash(v)
+		h = h*keyHashPrime ^ adm.Hash(v)
 	}
 	return h, nil
 }
 
+// keyHashMaxInline is the primary-key width whose field references
+// KeyHashFunc keeps on the stack; wider keys allocate one slice per record.
+const keyHashMaxInline = 4
+
 // KeyHashFunc returns a connector hash function over serialized records,
 // suitable for hyracks.MToNHashPartition: it routes each record to the
-// partition that PartitionOf would choose.
+// partition that PartitionOf would choose for the decoded record. It never
+// decodes: one adm.ScanRecordFields pass picks out the primary-key fields'
+// bytes and adm.HashEncoded hashes each in place. A record that is not
+// well-formed, or lacks a key field, hashes to 0.
 func (d *Dataset) KeyHashFunc() func(rec []byte) uint64 {
+	keys := d.PrimaryKey
 	return func(rec []byte) uint64 {
-		v, _, err := adm.Decode(rec)
+		var inline [keyHashMaxInline][]byte
+		var vals [][]byte
+		if len(keys) <= len(inline) {
+			vals = inline[:len(keys)]
+		} else {
+			vals = make([][]byte, len(keys))
+		}
+		_, err := adm.ScanRecordFields(rec, func(name, enc []byte) bool {
+			for i, k := range keys {
+				if vals[i] == nil && k == string(name) {
+					vals[i] = enc
+				}
+			}
+			return true
+		})
 		if err != nil {
 			return 0
 		}
-		r, ok := v.(*adm.Record)
-		if !ok {
-			return 0
-		}
-		h, err := d.primaryKeyHash(r)
-		if err != nil {
-			return 0
+		h := keyHashBasis
+		for _, enc := range vals {
+			if enc == nil {
+				return 0
+			}
+			fh, err := adm.HashEncoded(enc)
+			if err != nil {
+				return 0
+			}
+			h = h*keyHashPrime ^ fh
 		}
 		return h
 	}

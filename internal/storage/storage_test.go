@@ -274,19 +274,6 @@ func TestPartitionDistribution(t *testing.T) {
 	}
 }
 
-func TestKeyHashFuncMatchesPartitionOf(t *testing.T) {
-	ds := testDataset("A", "B", "C")
-	hash := ds.KeyHashFunc()
-	for i := 0; i < 100; i++ {
-		rec := tweetRec(fmt.Sprintf("id-%d", i), "u", nil)
-		want, _ := ds.PartitionOf(rec)
-		got := int(hash(adm.Encode(rec)) % 3)
-		if got != want {
-			t.Fatalf("KeyHashFunc partition %d, PartitionOf %d", got, want)
-		}
-	}
-}
-
 func TestManagerOpenPartitionIdempotent(t *testing.T) {
 	ds := testDataset("A")
 	m := NewManager("A", t.TempDir(), lsm.Options{})
